@@ -54,8 +54,6 @@ from .pipeline import (
     aggregate_generation,
     analyze_rendition,
     cross_generation_table,
-    report_from_dict,
-    report_to_dict,
 )
 from .signal_io import (
     Signal,

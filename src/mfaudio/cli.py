@@ -275,13 +275,21 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    if args.generations < 1 or args.parts < 1:
+        problem = "generations and parts must be >= 1"
+    elif not (0 < args.rate < math.inf and 2 <= args.duration * args.rate < math.inf):
+        problem = "rate must be positive and finite, and duration * rate at least 2 samples"
+    elif not 0 < args.parts * args.window_seconds <= args.duration:
+        problem = "parts * window-seconds must be positive and at most the duration"
+    else:
+        problem = None
+    if problem:
+        print(f"synth error: {problem}", file=sys.stderr)
+        return 2
+
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
     n = int(round(args.duration * args.rate))
-    if args.parts * args.window_seconds > args.duration:
-        print("synth error: parts * window-seconds exceeds duration", file=sys.stderr)
-        return 2
-
     entries = []
     for g in range(1, args.generations + 1):
         seed = args.seed + g

@@ -55,6 +55,7 @@ _MFDFA_KEYS = {
     "bidirectional", "fit_range", "width_method", "q_zero_epsilon",
 }
 _ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", "window_plan", "mfdfa"}
+_REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int, "path": str}
 
 
 @dataclass(frozen=True)
@@ -211,9 +212,18 @@ def validate_manifest(
         if unknown:
             violations.append(f"{label}: unknown key(s): {', '.join(sorted(unknown))}")
 
-        missing = [k for k in ("song_id", "artist", "year", "generation", "path") if k not in entry]
+        missing = [k for k in _REQUIRED_TYPES if k not in entry]
         if missing:
             violations.append(f"{label}: missing required key(s): {', '.join(missing)}")
+            continue
+        mistyped = [
+            f"{label}: {key} must be {'a string' if kind is str else 'an integer'}, "
+            f"got {type(entry[key]).__name__}"
+            for key, kind in _REQUIRED_TYPES.items()
+            if not isinstance(entry[key], kind) or isinstance(entry[key], bool)
+        ]
+        if mistyped:
+            violations.extend(mistyped)
             continue
 
         triple = (entry["song_id"], entry["artist"], entry["year"])
@@ -234,10 +244,10 @@ def validate_manifest(
             plan = plan_from_settings(_merge(default_plan, cli_plan, entry.get("window_plan")))
             config = config_from_settings(_merge(default_mfdfa, cli_mfdfa, entry.get("mfdfa")))
             record = RenditionRecord(
-                song_id=str(entry["song_id"]),
-                artist=str(entry["artist"]),
-                year=int(entry["year"]),
-                generation_index=int(entry["generation"]),
+                song_id=entry["song_id"],
+                artist=entry["artist"],
+                year=entry["year"],
+                generation_index=entry["generation"],
                 audio_path=audio_path,
                 plan=plan,
                 config=config,

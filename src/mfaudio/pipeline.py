@@ -257,115 +257,3 @@ def cross_generation_table(reports) -> CrossGenerationTable:
         song_id, tuple(a.generation_index for a in aggregates), matrix
     )
 
-
-# --- report serialization ------------------------------------------------
-#
-# Plain-dict form, JSON-compatible, round-trip exact (floats survive via
-# Python's repr round-tripping).
-
-def plan_to_dict(plan: WindowPlan) -> dict:
-    return {
-        "clip_start": plan.clip_start,
-        "clip_length": plan.clip_length,
-        "part_count": plan.part_count,
-        "part_length": plan.part_length,
-        "window_length": plan.window_length,
-    }
-
-
-def plan_from_dict(data: dict) -> WindowPlan:
-    return WindowPlan(**data)
-
-
-def config_to_dict(config: MfdfaConfig) -> dict:
-    return {
-        "q_grid": list(map(float, config.q_grid)),
-        "scale_grid": None if config.scale_grid is None else list(map(int, config.scale_grid)),
-        "detrend_order": config.detrend_order,
-        "bidirectional": config.bidirectional,
-        "fit_range": None if config.fit_range is None else list(config.fit_range),
-        "width_method": config.width_method,
-        "q_zero_epsilon": config.q_zero_epsilon,
-    }
-
-
-def config_from_dict(data: dict) -> MfdfaConfig:
-    data = dict(data)
-    if data.get("fit_range") is not None:
-        data["fit_range"] = tuple(data["fit_range"])
-    return MfdfaConfig(**data)
-
-
-def record_to_dict(record: RenditionRecord) -> dict:
-    return {
-        "song_id": record.song_id,
-        "artist": record.artist,
-        "year": record.year,
-        "generation_index": record.generation_index,
-        "audio_path": str(record.audio_path),
-        "plan": plan_to_dict(record.plan),
-        "config": config_to_dict(record.config),
-    }
-
-
-def record_from_dict(data: dict) -> RenditionRecord:
-    return RenditionRecord(
-        song_id=data["song_id"],
-        artist=data["artist"],
-        year=data["year"],
-        generation_index=data["generation_index"],
-        audio_path=data["audio_path"],
-        plan=plan_from_dict(data["plan"]),
-        config=config_from_dict(data["config"]),
-    )
-
-
-def report_to_dict(report: RenditionReport) -> dict:
-    return {
-        "record": record_to_dict(report.record),
-        "parts": [
-            {
-                "part_index": p.part_index,
-                "mean_width": p.mean_width,
-                "mean_alpha0": p.mean_alpha0,
-                "mean_h2": p.mean_h2,
-                "errored": p.errored,
-                "windows": [
-                    {
-                        "window_index": w.window_index,
-                        "n_samples": w.n_samples,
-                        "width": w.width,
-                        "alpha0": w.alpha0,
-                        "asymmetry": w.asymmetry,
-                        "h2": w.h2,
-                        "r2_q2": w.r2_q2,
-                        "flagged": w.flagged,
-                        "flag_reason": w.flag_reason,
-                    }
-                    for w in p.windows
-                ],
-            }
-            for p in report.parts
-        ],
-        "q_grid": None if report.q_grid is None else list(map(float, report.q_grid)),
-        "mean_h": None if report.mean_h is None else list(map(float, report.mean_h)),
-    }
-
-
-def report_from_dict(data: dict) -> RenditionReport:
-    parts = tuple(
-        PartResult(
-            p["part_index"],
-            tuple(
-                WindowResult(
-                    w["window_index"], w["n_samples"], w["width"], w["alpha0"],
-                    w["asymmetry"], w["h2"], w["r2_q2"], w["flagged"], w["flag_reason"],
-                )
-                for w in p["windows"]
-            ),
-        )
-        for p in data["parts"]
-    )
-    q_grid = None if data["q_grid"] is None else np.asarray(data["q_grid"], dtype=float)
-    mean_h = None if data["mean_h"] is None else np.asarray(data["mean_h"], dtype=float)
-    return RenditionReport(record_from_dict(data["record"]), parts, q_grid, mean_h)

@@ -11,9 +11,7 @@ on every platform; frozen draw vectors are pinned in the test suite.
 - white Gaussian noise: uncorrelated, h(2) = 0.5
 - fractional Gaussian noise (fGn) with autocovariance
       gamma(k) = 0.5 (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}),
-  sampled exactly by circulant embedding (Davies & Harte 1987); if the
-  embedding eigenvalues go negative the generator falls back to the
-  sequential conditional recursion of Hosking (1984)
+  sampled exactly by circulant embedding (Davies & Harte 1987)
 - the deterministic binomial multiplicative cascade, whose generalized
   Hurst exponent has the closed form
       h(q) = 1/q - ln(a^q + (1-a)^q) / (q ln 2)
@@ -79,41 +77,39 @@ def gen_white_noise(n: int, seed: int, sample_rate: float = 1.0) -> Signal:
 
 
 def fgn_autocovariance(hurst: float, lags) -> np.ndarray:
-    """gamma(k) = 0.5 (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H})."""
-    k = np.asarray(lags, dtype=float)
-    two_h = 2.0 * hurst
-    return 0.5 * (
-        np.abs(k + 1) ** two_h - 2.0 * np.abs(k) ** two_h + np.abs(k - 1) ** two_h
-    )
+    """gamma(k) = 0.5 (|k+1|^{2H} - 2|k|^{2H} + |k-1|^{2H}).
 
-
-def gen_fgn(spec: FgnSpec, sample_rate: float = 1.0, method: str = "auto") -> Signal:
-    """Unit-variance fractional Gaussian noise.
-
-    ``method`` is "auto" (circulant embedding with Hosking fallback),
-    "circulant", or "hosking".
+    Evaluated as 0.5 k^{2H} (expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k)))
+    for k != 0: the direct three-term difference cancels catastrophically
+    at large lags, and its error is enough to make the circulant
+    embedding of a long series indefinite.
     """
-    if method not in ("auto", "circulant", "hosking"):
-        raise ConfigError(f"unknown fGn method {method!r}")
-    if method != "hosking":
-        samples = _fgn_circulant(spec)
-        if samples is not None:
-            return Signal(samples, sample_rate)
-        if method == "circulant":
-            raise ConfigError(
-                f"circulant embedding is not positive semidefinite for H={spec.hurst}, "
-                f"n={spec.length}"
-            )
-    return Signal(_fgn_hosking(spec), sample_rate)
+    k = np.abs(np.asarray(lags, dtype=float))
+    two_h = 2.0 * hurst
+    with np.errstate(divide="ignore", invalid="ignore"):  # k = 0 and k = 1
+        inv = 1.0 / k
+        gamma = 0.5 * k**two_h * (
+            np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv))
+        )
+    return np.where(k == 0, 1.0, gamma)
 
 
-def _fgn_circulant(spec: FgnSpec) -> np.ndarray | None:
+def gen_fgn(spec: FgnSpec, sample_rate: float = 1.0) -> Signal:
+    """Unit-variance fractional Gaussian noise by circulant embedding.
+
+    The embedding of the fGn covariance is nonnegative definite
+    (Craigmile 2003), so negative eigenvalues can only be rounding; they
+    are clipped at zero, and anything beyond rounding is an error.
+    """
     n = spec.length
     gamma = fgn_autocovariance(spec.hurst, np.arange(n + 1))
     row = np.concatenate([gamma, gamma[-2:0:-1]])  # circulant first row, length 2n
     lam = np.fft.fft(row).real
     if lam.min() < -1e-10 * lam.max():
-        return None
+        raise ConfigError(
+            f"circulant embedding is not positive semidefinite for H={spec.hurst}, "
+            f"n={spec.length}"
+        )
     lam = np.clip(lam, 0.0, None)
 
     m = 2 * n
@@ -125,29 +121,7 @@ def _fgn_circulant(spec: FgnSpec) -> np.ndarray | None:
     w[n] = math.sqrt(lam[n] / m) * u[n]
     w[1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (u[1:n] + 1j * v)
     w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
-    return np.fft.fft(w).real[:n]
-
-
-def _fgn_hosking(spec: FgnSpec) -> np.ndarray:
-    """Durbin-Levinson conditional sampling; exact but O(n^2)."""
-    n = spec.length
-    gamma = fgn_autocovariance(spec.hurst, np.arange(n))
-    z = _rng(spec.seed).standard_normal(n)
-    x = np.empty(n)
-    phi = np.zeros(n)
-    var = gamma[0]
-    x[0] = z[0] * math.sqrt(var)
-    for t in range(1, n):
-        if t == 1:
-            k = gamma[1] / gamma[0]
-        else:
-            k = (gamma[t] - phi[: t - 1] @ gamma[t - 1 : 0 : -1]) / var
-        head = phi[: t - 1].copy()
-        phi[: t - 1] = head - k * head[::-1]
-        phi[t - 1] = k
-        var *= 1.0 - k * k
-        x[t] = phi[:t] @ x[t - 1 :: -1] + math.sqrt(var) * z[t]
-    return x
+    return Signal(np.fft.fft(w).real[:n], sample_rate)
 
 
 def gen_fgn_prefix(hurst: float, n: int, seed: int, sample_rate: float = 1.0) -> Signal:

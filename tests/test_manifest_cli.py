@@ -108,6 +108,27 @@ def test_missing_file_and_bad_year_collected_together(tmp_path):
     assert "1776" in err.value.violations[1]
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("song_id", ["a", "b"]),
+        ("artist", {"name": "x"}),
+        ("year", [1986]),
+        ("year", "1986"),
+        ("generation", {"g": 1}),
+        ("generation", True),
+        ("path", 7),
+    ],
+)
+def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    doc["entries"][0][key] = value
+    rewrite(path, doc)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "o"), "--dry-run"])
+    assert code == 2
+    assert f"manifest error: entries[0]: {key} must be" in capsys.readouterr().err
+
+
 def test_parse_error_reports_line_and_column(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{\n  "version": 1,\n  "entries": [},\n}', encoding="utf-8")
@@ -383,3 +404,18 @@ def test_synth_fgn_and_cascade_kinds(tmp_path):
         assert main(
             ["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]
         ) == 0
+
+
+@pytest.mark.parametrize("kind", ["cascade-noise", "fgn", "cascade"])
+def test_synth_zero_rate_exits_2(tmp_path, capsys, kind):
+    code = main(["synth", "--out", str(tmp_path / "c"), "--rate", "0", "--kind", kind])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("synth error: ")
+
+
+def test_synth_zero_generations_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--generations", "0"])
+    assert code == 2
+    assert "synth error: generations" in capsys.readouterr().err
+    assert not (corpus / "manifest.json").exists()

@@ -1,5 +1,5 @@
-import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -20,8 +20,6 @@ from mfaudio import (
     cross_generation_table,
     gen_cascade_noise,
     gen_fgn_prefix,
-    report_from_dict,
-    report_to_dict,
     write_wav,
 )
 
@@ -89,7 +87,16 @@ def test_analyze_rendition_is_deterministic(tmp_path):
     record = make_record(tmp_path, sig)
     a = analyze_rendition(record)
     b = analyze_rendition(record)
-    assert report_to_dict(a) == report_to_dict(b)
+    assert [p.part_index for p in a.parts] == [p.part_index for p in b.parts]
+    for pa, pb in zip(a.parts, b.parts):
+        assert len(pa.windows) == len(pb.windows)
+        for wa, wb in zip(pa.windows, pb.windows):
+            for f in fields(WindowResult):
+                x, y = getattr(wa, f.name), getattr(wb, f.name)
+                # flagged windows carry NaN diagnostics
+                assert x == y or (x != x and y != y), f.name
+    assert np.array_equal(a.q_grid, b.q_grid)
+    assert np.array_equal(a.mean_h, b.mean_h)
 
 
 def test_digital_silence_flags_every_window(tmp_path):
@@ -136,28 +143,13 @@ def test_record_validation():
         RenditionRecord("s", "a", 1950, 0, "x.wav")
 
 
-# --- serialization ----------------------------------------------------------
+# --- part means -------------------------------------------------------------
 
 def test_report_round_trip_table_style_fixture():
     # a Table-2-shaped row: four parts with means (0.46, 0.30, 0.39, 0.20)
     report = synthetic_report([0.46, 0.30, 0.39, 0.20], artist="fixture-artist", year=1986)
     means = [p.mean_width for p in report.parts]
     assert means == [0.46, 0.30, 0.39, 0.20]
-
-    payload = json.dumps(report_to_dict(report))
-    restored = report_from_dict(json.loads(payload))
-    assert report_to_dict(restored) == report_to_dict(report)
-    assert [p.mean_width for p in restored.parts] == means
-
-
-def test_report_round_trip_with_flags(tmp_path):
-    sig = Signal(np.zeros(24 * 4000), 4000.0)
-    record = make_record(tmp_path, sig, name="silent2.wav")
-    report = analyze_rendition(record)
-    restored = report_from_dict(json.loads(json.dumps(report_to_dict(report))))
-    # NaN breaks dict equality, so compare the serialized form
-    assert json.dumps(report_to_dict(restored)) == json.dumps(report_to_dict(report))
-    assert restored.errored
 
 
 # --- aggregation ------------------------------------------------------------
