@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ManifestError, MfaudioError
 from .manifest import Manifest, validate_manifest
-from .mfdfa import HurstCurve, legendre_spectrum
+from .mfdfa import legendre_spectrum
 from .pipeline import (
     RenditionReport,
     _slug,
@@ -76,82 +76,57 @@ def _safe_analyze(record):
         return err
 
 
-def _open_csv(path: Path):
-    handle = open(path, "w", encoding="utf-8", newline="")
-    return handle, csv.writer(handle, lineterminator="\n")
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_widths_csv(reports: list[RenditionReport], path: Path) -> None:
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(
-            ["song_id", "artist", "year", "generation", "part",
-             "mean_width", "mean_alpha0", "mean_h2", "window_count", "flagged_count"]
-        )
-        for report in reports:
-            rec = report.record
-            for part in report.parts:
-                writer.writerow(
-                    [rec.song_id, rec.artist, rec.year, rec.generation_index,
-                     part.part_index, _f4(part.mean_width), _f4(part.mean_alpha0),
-                     _f4(part.mean_h2), len(part.windows), part.flagged_count]
-                )
+    header = ["song_id", "artist", "year", "generation", "part",
+              "mean_width", "mean_alpha0", "mean_h2", "window_count", "flagged_count"]
+    _write_csv(path, header, (
+        [r.record.song_id, r.record.artist, r.record.year, r.record.generation_index,
+         part.part_index, _f4(part.mean_width), _f4(part.mean_alpha0),
+         _f4(part.mean_h2), len(part.windows), part.flagged_count]
+        for r in reports for part in r.parts
+    ))
 
 
 def write_windows_csv(reports: list[RenditionReport], path: Path) -> None:
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(
-            ["song_id", "artist", "year", "generation", "part", "window",
-             "n_samples", "width", "alpha0", "asymmetry", "h2", "r2_q2",
-             "flagged", "flag_reason"]
-        )
-        for report in reports:
-            rec = report.record
-            for part in report.parts:
-                for w in part.windows:
-                    writer.writerow(
-                        [rec.song_id, rec.artist, rec.year, rec.generation_index,
-                         part.part_index, w.window_index, w.n_samples,
-                         _f17(w.width), _f17(w.alpha0), _f17(w.asymmetry),
-                         _f17(w.h2), _f17(w.r2_q2),
-                         "true" if w.flagged else "false", w.flag_reason or ""]
-                    )
+    header = ["song_id", "artist", "year", "generation", "part", "window",
+              "n_samples", "width", "alpha0", "asymmetry", "h2", "r2_q2",
+              "flagged", "flag_reason"]
+    _write_csv(path, header, (
+        [r.record.song_id, r.record.artist, r.record.year, r.record.generation_index,
+         part.part_index, w.window_index, w.n_samples,
+         _f17(w.width), _f17(w.alpha0), _f17(w.asymmetry), _f17(w.h2), _f17(w.r2_q2),
+         "true" if w.flagged else "false", w.flag_reason or ""]
+        for r in reports for part in r.parts for w in part.windows
+    ))
 
 
 def write_generations_csv(reports: list[RenditionReport], path: Path) -> None:
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(
-            ["song_id", "generation", "rendition_count", "part",
-             "part_mean_width", "overall_mean_width"]
-        )
-        for song_id in _song_order(reports):
-            table_reports = [r for r in reports if r.record.song_id == song_id]
-            for agg in aggregate_generation(table_reports, song_id):
-                for p, width in enumerate(agg.part_mean_widths, start=1):
-                    writer.writerow(
-                        [song_id, agg.generation_index, agg.rendition_count,
-                         p, _f17(width), _f17(agg.overall_mean_width)]
-                    )
+    header = ["song_id", "generation", "rendition_count", "part",
+              "part_mean_width", "overall_mean_width"]
+    _write_csv(path, header, (
+        [song_id, agg.generation_index, agg.rendition_count,
+         p, _f17(width), _f17(agg.overall_mean_width)]
+        for song_id in _song_order(reports)
+        for agg in aggregate_generation(
+            [r for r in reports if r.record.song_id == song_id], song_id)
+        for p, width in enumerate(agg.part_mean_widths, start=1)
+    ))
 
 
 def write_spectrum_csv(report: RenditionReport, path: Path) -> None:
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["q", "h", "tau", "alpha", "f_alpha"])
-        if report.mean_h is None:
-            return
-        curve = HurstCurve(
-            report.q_grid, report.mean_h,
-            np.zeros_like(report.mean_h), np.ones_like(report.mean_h),
-        )
+    curve, columns = report.mean_hurst, []
+    if curve is not None:
         spectrum = legendre_spectrum(curve)
-        for i, q in enumerate(report.q_grid):
-            writer.writerow(
-                [_f17(q), _f17(report.mean_h[i]), _f17(spectrum.tau[i]),
-                 _f17(spectrum.alpha[i]), _f17(spectrum.f_alpha[i])]
-            )
+        columns = [curve.q_grid, curve.h, spectrum.tau, spectrum.alpha, spectrum.f_alpha]
+    rows = (map(_f17, row) for row in zip(*columns))
+    _write_csv(path, ["q", "h", "tau", "alpha", "f_alpha"], rows)
 
 
 def _song_order(reports: list[RenditionReport]) -> list[str]:
@@ -160,6 +135,9 @@ def _song_order(reports: list[RenditionReport]) -> list[str]:
         if report.record.song_id not in order:
             order.append(report.record.song_id)
     return order
+
+
+_PLOT_HEADER = ["song_id", "generation", "part", "mean_width"]
 
 
 def emit_plot_data(reports: list[RenditionReport], out_dir: Path) -> list[Path]:
@@ -177,19 +155,11 @@ def emit_plot_data(reports: list[RenditionReport], out_dir: Path) -> list[Path]:
             for p in range(table.mean_widths.shape[1]):
                 rows.append([song_id, gen, p + 1, _f17(table.mean_widths[g_idx, p])])
         combined_rows.extend(rows)
-        path = out_dir / f"plot_{_slug(song_id)}.csv"
-        handle, writer = _open_csv(path)
-        with handle:
-            writer.writerow(["song_id", "generation", "part", "mean_width"])
-            writer.writerows(rows)
-        written.append(path)
+        written.append(out_dir / f"plot_{_slug(song_id)}.csv")
+        _write_csv(written[-1], _PLOT_HEADER, rows)
 
-    path = out_dir / "plot_all_songs.csv"
-    handle, writer = _open_csv(path)
-    with handle:
-        writer.writerow(["song_id", "generation", "part", "mean_width"])
-        writer.writerows(combined_rows)
-    written.append(path)
+    written.append(out_dir / "plot_all_songs.csv")
+    _write_csv(written[-1], _PLOT_HEADER, combined_rows)
     return written
 
 
@@ -211,19 +181,9 @@ def _cmd_run(args) -> int:
     if args.window_seconds is not None:
         cli_plan["window_length"] = args.window_seconds
 
-    cli_mfdfa: dict = {}
-    if args.q_min is not None:
-        cli_mfdfa["q_min"] = args.q_min
-    if args.q_max is not None:
-        cli_mfdfa["q_max"] = args.q_max
-    if args.q_step is not None:
-        cli_mfdfa["q_step"] = args.q_step
-    if args.scales is not None:
-        cli_mfdfa["scales"] = args.scales
-    if args.detrend_order is not None:
-        cli_mfdfa["detrend_order"] = args.detrend_order
-    if args.width_method is not None:
-        cli_mfdfa["width_method"] = args.width_method
+    # these run flags share their names with the manifest's mfdfa settings
+    names = ("q_min", "q_max", "q_step", "scales", "detrend_order", "width_method")
+    cli_mfdfa = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
     try:
         manifest = validate_manifest(args.manifest, cli_plan or None, cli_mfdfa or None)
@@ -277,8 +237,9 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     if args.generations < 1 or args.parts < 1:
         problem = "generations and parts must be >= 1"
-    elif not (0 < args.rate < math.inf and 2 <= args.duration * args.rate < math.inf):
-        problem = "rate must be positive and finite, and duration * rate at least 2 samples"
+    elif not (args.rate > 0 and args.rate.is_integer()
+              and 2 <= args.duration * args.rate < math.inf):
+        problem = "rate must be a whole number of Hz > 0, and duration * rate at least 2 samples"
     elif not 0 < args.parts * args.window_seconds <= args.duration:
         problem = "parts * window-seconds must be positive and at most the duration"
     else:
@@ -372,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except MfaudioError as err:  # e.g. a synth rate too high for a WAV header
+        print(f"{args.command} error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

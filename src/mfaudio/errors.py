@@ -8,6 +8,8 @@ the labels are prepended to the message.
 
 from __future__ import annotations
 
+import numbers
+
 
 class MfaudioError(Exception):
     """Base class for all errors raised by this package."""
@@ -62,6 +64,21 @@ class InsufficientAudioError(MfaudioError):
 
 class ConfigError(MfaudioError):
     """An analysis configuration or window plan violates its invariants."""
+
+
+def check_type(name: str, value, kind: type) -> None:
+    """Raise ConfigError unless ``value`` is of ``kind``: int, float or bool.
+
+    Python and numpy scalars count and nothing is coerced; a bool is
+    neither an integer nor a number here.
+    """
+    abstract, noun = {
+        int: (numbers.Integral, "an integer"),
+        float: (numbers.Real, "a number"),
+        bool: (bool, "true or false"),
+    }[kind]
+    if not isinstance(value, abstract) or isinstance(value, bool) != (kind is bool):
+        raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 
 class DegenerateSegmentError(MfaudioError):

@@ -1,34 +1,20 @@
 """Corpus manifest: a versioned JSON document listing recordings plus
 analysis defaults.
 
-Schema (version 1)::
+Schema (version 1): an object holding ``version`` (1), an optional
+``output_dir`` string (``--out`` overrides it), ``defaults`` with
+``window_plan`` and ``mfdfa`` settings, and a non-empty ``entries`` list.
+Each entry names ``song_id``, ``artist``, ``year``, ``generation`` and
+``path`` and may carry its own ``window_plan`` / ``mfdfa`` settings.
+README.md shows a full example.
 
-    {
-      "version": 1,
-      "output_dir": "out",                # optional, --out overrides
-      "defaults": {
-        "window_plan": {"clip_start": 0.0, "clip_length": 180.0,
-                        "part_count": 6, "part_length": 30.0,
-                        "window_length": 6.0},
-        "mfdfa": {"q_min": -5.0, "q_max": 5.0, "q_step": 0.25,
-                  "scales": "16:4096:20",
-                  "detrend_order": 1, "bidirectional": true,
-                  "width_method": "quadratic"}
-      },
-      "entries": [
-        {"song_id": "...", "artist": "...", "year": 1986, "generation": 4,
-         "path": "audio/take.wav",
-         "window_plan": { ... per-entry overrides ... },
-         "mfdfa": { ... per-entry overrides ... }}
-      ]
-    }
-
-Merge precedence, lowest to highest: built-in defaults, manifest
-``defaults``, command-line overrides, per-entry settings.  ``mfdfa``
-accepts either an explicit ``q_grid`` list or the (q_min, q_max, q_step)
-triple, and either an explicit ``scales`` integer list or a
-"MIN:MAX:COUNT" log-spacing rule.  A ``part_length`` of null derives
-``clip_length / part_count``.
+Merge precedence, lowest to highest: WindowPlan / MfdfaConfig defaults,
+manifest ``defaults``, command-line overrides, per-entry settings.  A
+setting keeps its JSON type and the dataclass checks it; nothing is
+coerced.  ``mfdfa`` accepts either an explicit ``q_grid`` list or the
+(q_min, q_max, q_step) triple, and either an explicit ``scales`` integer
+list or a "MIN:MAX:COUNT" log-spacing rule.  A ``part_length`` of null
+derives ``clip_length / part_count``.
 
 Audio paths are resolved relative to the manifest file.  Validation
 reports every violation, not just the first.
@@ -36,24 +22,24 @@ reports every violation, not just the first.
 
 from __future__ import annotations
 
+import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, ManifestError, MfaudioError
-from .mfdfa import MfdfaConfig
+from .errors import ConfigError, ManifestError, MfaudioError, check_type
+from .mfdfa import MfdfaConfig, check_spectrum_grid, default_q_grid
 from .pipeline import RenditionRecord
 from .signal_io import WindowPlan
 
 SUPPORTED_VERSION = 1
 
-_PLAN_KEYS = {"clip_start", "clip_length", "part_count", "part_length", "window_length"}
-_MFDFA_KEYS = {
-    "q_grid", "q_min", "q_max", "q_step", "scales", "detrend_order",
-    "bidirectional", "fit_range", "width_method", "q_zero_epsilon",
-}
+_PLAN_KEYS = {f.name for f in fields(WindowPlan)}
+# the manifest spells scale_grid "scales" and also takes q_grid as a q triple
+_MFDFA_KEYS = {f.name for f in fields(MfdfaConfig)} - {"scale_grid"} | {
+    "scales", "q_min", "q_max", "q_step"}
 _ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", "window_plan", "mfdfa"}
 _REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int, "path": str}
 
@@ -80,6 +66,8 @@ def parse_scale_rule(text: str) -> np.ndarray:
 
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:
+    for name, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
+        check_type(name, value, float)
     if not (q_step > 0 and q_max > q_min):
         raise ConfigError(f"invalid q range {q_min}..{q_max} step {q_step}")
     count = int(round((q_max - q_min) / q_step))
@@ -90,65 +78,47 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:
 
 
 def config_from_settings(settings: dict) -> MfdfaConfig:
-    """Build an MfdfaConfig from merged manifest/CLI settings."""
+    """Build an MfdfaConfig from merged manifest/CLI settings.
+
+    The q triple becomes ``q_grid`` and ``scales`` becomes ``scale_grid``;
+    every other setting is passed to MfdfaConfig as is.
+    """
     unknown = set(settings) - _MFDFA_KEYS
     if unknown:
         raise ConfigError(f"unknown mfdfa setting(s): {', '.join(sorted(unknown))}")
 
-    q_grid = settings.get("q_grid")
-    if q_grid is None and any(k in settings for k in ("q_min", "q_max", "q_step")):
-        q_grid = build_q_grid(
-            float(settings.get("q_min", -5.0)),
-            float(settings.get("q_max", 5.0)),
-            float(settings.get("q_step", 0.25)),
+    kwargs = dict(settings)
+    triple = {k: kwargs.pop(k) for k in ("q_min", "q_max", "q_step") if k in kwargs}
+    if kwargs.get("q_grid") is None and triple:
+        default = default_q_grid()
+        kwargs["q_grid"] = build_q_grid(
+            triple.get("q_min", default[0]),
+            triple.get("q_max", default[-1]),
+            triple.get("q_step", default[1] - default[0]),
         )
-
-    scales = settings.get("scales")
-    if isinstance(scales, str):
-        scales = parse_scale_rule(scales)
-
-    fit_range = settings.get("fit_range")
-    if fit_range is not None:
-        fit_range = tuple(int(v) for v in fit_range)
-
-    return MfdfaConfig(
-        q_grid=q_grid,
-        scale_grid=scales,
-        detrend_order=int(settings.get("detrend_order", 1)),
-        bidirectional=bool(settings.get("bidirectional", True)),
-        fit_range=fit_range,
-        width_method=settings.get("width_method", "quadratic"),
-        q_zero_epsilon=float(settings.get("q_zero_epsilon", 1e-9)),
-    )
+    scales = kwargs.pop("scales", None)
+    kwargs["scale_grid"] = parse_scale_rule(scales) if isinstance(scales, str) else scales
+    return MfdfaConfig(**kwargs)
 
 
 def plan_from_settings(settings: dict) -> WindowPlan:
     """Build a WindowPlan from merged settings.
 
-    ``part_length: null`` (or an absent part_length when part_count was
-    overridden) derives clip_length / part_count, so "--parts 4" turns a
-    180 s clip into 4 x 45 s parts.
+    ``part_length: null`` derives clip_length / part_count, so "--parts 4"
+    turns a 180 s clip into 4 x 45 s parts; an absent term is WindowPlan's
+    own default.
     """
     unknown = set(settings) - _PLAN_KEYS
     if unknown:
         raise ConfigError(f"unknown window_plan setting(s): {', '.join(sorted(unknown))}")
-    merged = {
-        "clip_start": 0.0,
-        "clip_length": 180.0,
-        "part_count": 6,
-        "part_length": 30.0,
-        "window_length": 6.0,
-    }
-    merged.update({k: v for k, v in settings.items()})
-    if merged["part_length"] is None:
-        merged["part_length"] = float(merged["clip_length"]) / int(merged["part_count"])
-    return WindowPlan(
-        clip_start=float(merged["clip_start"]),
-        clip_length=float(merged["clip_length"]),
-        part_count=int(merged["part_count"]),
-        part_length=float(merged["part_length"]),
-        window_length=float(merged["window_length"]),
-    )
+    kwargs = dict(settings)
+    if "part_length" in kwargs and kwargs["part_length"] is None:
+        clip_length = kwargs.get("clip_length", WindowPlan.clip_length)
+        part_count = kwargs.get("part_count", WindowPlan.part_count)
+        # a bad term leaves part_length None, and WindowPlan names the term
+        with contextlib.suppress(TypeError, ZeroDivisionError):
+            kwargs["part_length"] = clip_length / part_count
+    return WindowPlan(**kwargs)
 
 
 def _merge(*layers: dict | None) -> dict:
@@ -188,6 +158,9 @@ def validate_manifest(
     version = doc.get("version")
     if version != SUPPORTED_VERSION:
         violations.append(f"unsupported manifest version {version!r} (expected {SUPPORTED_VERSION})")
+    output_dir = doc.get("output_dir")
+    if output_dir is not None and not isinstance(output_dir, str):
+        violations.append(f"output_dir must be a string, got {type(output_dir).__name__}")
 
     defaults = doc.get("defaults", {})
     if not isinstance(defaults, dict):
@@ -243,6 +216,7 @@ def validate_manifest(
         try:
             plan = plan_from_settings(_merge(default_plan, cli_plan, entry.get("window_plan")))
             config = config_from_settings(_merge(default_mfdfa, cli_mfdfa, entry.get("mfdfa")))
+            check_spectrum_grid(config.q_grid)
             record = RenditionRecord(
                 song_id=entry["song_id"],
                 artist=entry["artist"],
@@ -259,6 +233,4 @@ def validate_manifest(
 
     if violations:
         raise ManifestError(violations)
-
-    output_dir = doc.get("output_dir")
     return Manifest(SUPPORTED_VERSION, tuple(records), output_dir, path)

@@ -38,6 +38,7 @@ from .errors import (
     MfaudioError,
     NonConcaveSpectrumError,
     NonFiniteDataError,
+    check_type,
 )
 from .signal_io import Signal
 
@@ -81,73 +82,84 @@ class MfdfaConfig:
     q_zero_epsilon: float = 1e-9
 
     def __post_init__(self):
-        q = default_q_grid() if self.q_grid is None else np.asarray(self.q_grid, dtype=float)
-        if q.ndim != 1 or q.size == 0:
-            raise ConfigError("q_grid must be a non-empty 1-D sequence")
+        q = default_q_grid() if self.q_grid is None else np.asarray(self.q_grid)
+        if q.ndim != 1 or q.size == 0 or q.dtype.kind not in "iuf":
+            raise ConfigError("q_grid must be a non-empty 1-D sequence of numbers")
         if not np.all(np.isfinite(q)):
             raise ConfigError("q_grid must be finite")
         if np.any(np.diff(q) <= 0):
             raise ConfigError("q_grid must be strictly increasing")
         if not np.any(np.abs(q - 2.0) < 1e-9):
             raise ConfigError("q_grid must include q = 2")
-        object.__setattr__(self, "q_grid", q)
+        object.__setattr__(self, "q_grid", q.astype(float))
 
+        check_type("detrend_order", self.detrend_order, int)
         if self.detrend_order < 1:
             raise ConfigError(f"detrend_order must be >= 1, got {self.detrend_order}")
+        min_scale = DEFAULT_MIN_SCALE
         if self.scale_grid is not None:
             s = np.asarray(self.scale_grid)
-            if s.ndim != 1 or s.size == 0 or not np.all(s == np.floor(s)):
+            if (s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iuf"
+                    or not np.all(s == np.floor(s))):
                 raise ConfigError("scale_grid must be a 1-D sequence of integers")
             s = s.astype(int)
             if np.any(np.diff(s) <= 0):
                 raise ConfigError("scale_grid must be strictly increasing")
-            if s[0] < self.detrend_order + 2:
-                raise ConfigError(
-                    f"scale {s[0]} leaves no residual degree of freedom for "
-                    f"order-{self.detrend_order} detrending (need s >= m + 2)"
-                )
             object.__setattr__(self, "scale_grid", s)
+            min_scale = s[0]
+        if min_scale < self.detrend_order + 2:
+            raise ConfigError(
+                f"detrend_order {self.detrend_order} leaves no residual degree of "
+                f"freedom at scale {min_scale} (need every scale >= m + 2)"
+            )
+        check_type("bidirectional", self.bidirectional, bool)
+        if self.fit_range is not None:
+            if not (isinstance(self.fit_range, (tuple, list)) and len(self.fit_range) == 2):
+                raise ConfigError(
+                    f"fit_range must be a (start, stop) pair, got {self.fit_range!r}"
+                )
+            for bound in self.fit_range:
+                check_type("fit_range", bound, int)
+            lo, hi = map(int, self.fit_range)
+            if not 0 <= lo <= hi - 4:
+                raise ConfigError(
+                    f"fit_range {self.fit_range!r} needs 0 <= start and >= 4 scales to regress"
+                )
+            object.__setattr__(self, "fit_range", (lo, hi))
         if self.width_method not in ("quadratic", "endpoints"):
             raise ConfigError(f"unknown width_method {self.width_method!r}")
+        check_type("q_zero_epsilon", self.q_zero_epsilon, float)
         if not self.q_zero_epsilon > 0:
             raise ConfigError("q_zero_epsilon must be > 0")
-        if self.fit_range is not None:
-            lo, hi = self.fit_range
-            if not (isinstance(lo, int) and isinstance(hi, int) and 0 <= lo < hi):
-                raise ConfigError(f"fit_range {self.fit_range!r} is not a valid index range")
+        if self.scale_grid is not None:
+            self._check_fit(self.scale_grid)
 
     def scales_for(self, n: int) -> np.ndarray:
-        """Concrete scale grid for a profile of length n, fully validated.
+        """Concrete scale grid for a profile of length n.
 
-        Enforcing max(s) <= n // 4 also guarantees the minimum signal
-        length of 4 * min(s).
+        Only the checks that need n live here; enforcing max(s) <= n // 4
+        also guarantees the minimum signal length of 4 * min(s).
         """
-        scales = default_scale_grid(n) if self.scale_grid is None else self.scale_grid
-        if scales[0] < self.detrend_order + 2:
+        if self.scale_grid is None:
+            return self._check_fit(default_scale_grid(n))
+        if self.scale_grid[-1] > n // 4:
             raise ConfigError(
-                f"scale {scales[0]} leaves no residual degree of freedom for "
-                f"order-{self.detrend_order} detrending"
+                f"scale {self.scale_grid[-1]} exceeds N/4 = {n // 4} for a series of length {n}"
             )
-        if scales[-1] > n // 4:
-            raise ConfigError(
-                f"scale {scales[-1]} exceeds N/4 = {n // 4} for a series of length {n}"
-            )
+        return self.scale_grid
+
+    def _check_fit(self, scales: np.ndarray) -> np.ndarray:
         lo, hi = self.fit_indices(scales.size)
-        if hi - lo < 4:
+        if hi > scales.size or hi - lo < 4:
             raise InsufficientScalesError(
-                f"fit range holds {hi - lo} scales, regression needs >= 4"
+                f"fit range ({lo}, {hi}) of a {scales.size}-scale grid holds fewer "
+                f"than the 4 scales a regression needs"
             )
         return scales
 
     def fit_indices(self, n_scales: int) -> tuple[int, int]:
-        if self.fit_range is None:
-            return 0, n_scales
-        lo, hi = self.fit_range
-        if hi > n_scales:
-            raise ConfigError(
-                f"fit_range {self.fit_range} is outside the {n_scales}-scale grid"
-            )
-        return lo, hi
+        """Half-open scale-index range of the regression on an n_scales grid."""
+        return (0, n_scales) if self.fit_range is None else self.fit_range
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,7 +189,6 @@ class HurstCurve:
 
     q_grid: np.ndarray
     h: np.ndarray
-    intercepts: np.ndarray
     r_squared: np.ndarray
 
     def at(self, q: float) -> tuple[float, float]:
@@ -366,13 +377,12 @@ def fit_hurst(surface: FluctuationSurface, fit_range: tuple[int, int] | None = N
     ymean = ymat.mean(axis=1)
     yc = ymat - ymean[:, np.newaxis]
     slope = (yc @ xc) / denom
-    intercept = ymean - slope * x.mean()
     ss_res = np.sum((yc - np.outer(slope, xc)) ** 2, axis=1)
     ss_tot = np.sum(yc * yc, axis=1)
     r2 = np.ones_like(slope)
     nonzero = ss_tot > 0
     r2[nonzero] = 1.0 - ss_res[nonzero] / ss_tot[nonzero]
-    return HurstCurve(surface.q_grid, slope, intercept, np.clip(r2, 0.0, 1.0))
+    return HurstCurve(surface.q_grid, slope, np.clip(r2, 0.0, 1.0))
 
 
 def tau_from_h(curve: HurstCurve) -> np.ndarray:
@@ -388,6 +398,14 @@ def _central_differences(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return d
 
 
+def check_spectrum_grid(q: np.ndarray) -> None:
+    """Raise unless a spectrum can be taken on q: >= 3 values spanning both signs."""
+    if q.size < 3:
+        raise InsufficientSpectrumError("spectrum needs at least 3 q values")
+    if not (q[0] < 0.0 < q[-1]):
+        raise ConfigError("spectrum needs a q-grid spanning both signs")
+
+
 def legendre_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     """Singularity spectrum from h(q).
 
@@ -396,10 +414,7 @@ def legendre_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     smoothing of h beforehand.
     """
     q = curve.q_grid
-    if q.size < 3:
-        raise InsufficientSpectrumError("spectrum needs at least 3 q values")
-    if not (q[0] < 0.0 < q[-1]):
-        raise ConfigError("spectrum needs a q-grid spanning both signs")
+    check_spectrum_grid(q)
     dh = _central_differences(curve.h, q)
     alpha = curve.h + q * dh
     f_alpha = q * (alpha - curve.h) + 1.0
@@ -415,8 +430,9 @@ def spectrum_width(
     quadratic: least-squares fit of f = A u^2 + B u + 1 (u = alpha -
     alpha_0, alpha_0 at the apex) over the points with f >= apex_floor;
     W is the separation of the parabola's roots at f = 0.  endpoints:
-    W = max(alpha) - min(alpha) over the q grid (a fallback when the
-    fitted parabola is not concave).
+    W = max(alpha) - min(alpha) over the q grid, an alternative width
+    chosen by ``MfdfaConfig.width_method`` (the pipeline flags windows
+    whose parabola is not concave rather than switching method).
     """
     alpha = spectrum.alpha
     f = spectrum.f_alpha
@@ -459,8 +475,7 @@ def mfdfa(signal, config: MfdfaConfig | None = None) -> MfdfaResult:
     config = config if config is not None else MfdfaConfig()
     profile = _staged("profile", compute_profile, signal)
     surface = _staged("fluctuation", fluctuation_function, profile, config)
-    fit_range = config.fit_indices(surface.scale_grid.size)
-    hurst = _staged("scaling-fit", fit_hurst, surface, fit_range)
+    hurst = _staged("scaling-fit", fit_hurst, surface, config.fit_range)
     spectrum = _staged("spectrum", legendre_spectrum, hurst)
     width = _staged("width", spectrum_width, spectrum, config.width_method)
     return MfdfaResult(profile, surface, hurst, spectrum, width)

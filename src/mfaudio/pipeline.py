@@ -26,7 +26,7 @@ from .errors import (
     NonConcaveSpectrumError,
     SchemaError,
 )
-from .mfdfa import MfdfaConfig, mfdfa
+from .mfdfa import HurstCurve, MfdfaConfig, mfdfa
 from .signal_io import Signal, WindowPlan, decode_wav, partition_windows
 
 # Window-level failures that flag the window instead of aborting the
@@ -122,15 +122,14 @@ class PartResult:
 class RenditionReport:
     """Per-part width statistics for one recording.
 
-    ``mean_h`` is the arithmetic mean of h(q) over every unflagged
-    window, suitable for plotting one representative spectrum per
-    rendition.
+    ``mean_hurst`` holds the arithmetic means of h(q) and r^2 over every
+    unflagged window (None if every window was flagged), suitable for
+    plotting one representative spectrum per rendition.
     """
 
     record: RenditionRecord
     parts: tuple[PartResult, ...]
-    q_grid: np.ndarray | None = None
-    mean_h: np.ndarray | None = None
+    mean_hurst: HurstCurve | None = None
 
     @property
     def errored(self) -> bool:
@@ -175,9 +174,8 @@ def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> 
         raise err.add_context(f"rendition {record.rendition_id}")
 
     parts: list[PartResult] = []
-    h_sum = None
+    h_sum = r2_sum = None
     h_count = 0
-    q_grid = None
     for p_idx, windows in enumerate(part_signals, start=1):
         results: list[WindowResult] = []
         for w_idx, window in enumerate(windows, start=1):
@@ -202,13 +200,15 @@ def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> 
                     res.width.asymmetry, h2, r2,
                 )
             )
-            q_grid = res.hurst.q_grid
             h_sum = res.hurst.h.copy() if h_sum is None else h_sum + res.hurst.h
+            r2_sum = res.hurst.r_squared.copy() if r2_sum is None else r2_sum + res.hurst.r_squared
             h_count += 1
         parts.append(PartResult(p_idx, tuple(results)))
 
-    mean_h = h_sum / h_count if h_count else None
-    return RenditionReport(record, tuple(parts), q_grid, mean_h)
+    mean_hurst = None
+    if h_count:
+        mean_hurst = HurstCurve(record.config.q_grid, h_sum / h_count, r2_sum / h_count)
+    return RenditionReport(record, tuple(parts), mean_hurst)
 
 
 def aggregate_generation(reports, song_id: str) -> list[GenerationAggregate]:

@@ -24,6 +24,7 @@ from .errors import (
     NonFiniteDataError,
     UnsupportedCodecError,
     WavFormatError,
+    check_type,
 )
 
 _WAVE_FORMAT_PCM = 0x0001
@@ -85,13 +86,13 @@ class WindowPlan:
     window_length: float = 6.0
 
     def __post_init__(self):
-        if self.clip_start < 0:
-            raise ConfigError(f"clip_start must be >= 0, got {self.clip_start}")
-        for name in ("clip_length", "part_length", "window_length"):
-            if not getattr(self, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.part_count < 1:
-            raise ConfigError(f"part_count must be >= 1, got {self.part_count}")
+        for name in ("clip_start", "clip_length", "part_count", "part_length", "window_length"):
+            value = getattr(self, name)
+            check_type(name, value, int if name == "part_count" else float)
+            if not (value >= 0 if name == "clip_start" else value > 0):
+                raise ConfigError(
+                    f"{name} must be {'>= 0' if name == 'clip_start' else '> 0'}, got {value}"
+                )
         if self.part_count * self.part_length > self.clip_length + 1e-9:
             raise ConfigError(
                 f"{self.part_count} parts of {self.part_length:g} s exceed "
@@ -219,8 +220,13 @@ def write_wav(path: str | Path, signal: Signal, encoding: str = "float32") -> No
     else:
         raise ConfigError(f"unknown WAV encoding {encoding!r}")
 
-    rate = int(round(signal.sample_rate))
+    rate = signal.sample_rate
     frame = bits // 8
+    if not (float(rate).is_integer() and 0 < rate * frame < 2**32):
+        raise ConfigError(
+            f"WAV sample rate must be a whole number of Hz below {2**32 // frame}, got {rate!r}"
+        )
+    rate = int(rate)
     header = struct.pack("<HHIIHH", tag, 1, rate, rate * frame, frame, bits)
     Path(path).write_bytes(
         _chunk(b"RIFF", b"WAVE" + _chunk(b"fmt ", header) + _chunk(b"data", body))

@@ -128,7 +128,7 @@ def test_criterion_04_exact_recoveries():
 
     # tau(0) = -1 exactly
     grid = np.linspace(-5, 5, 41)
-    tau = tau_from_h(HurstCurve(grid, np.linspace(1.4, 0.4, 41), np.zeros(41), np.ones(41)))
+    tau = tau_from_h(HurstCurve(grid, np.linspace(1.4, 0.4, 41), np.ones(41)))
     ok_tau = tau[20] == -1.0
 
     # profile endpoint ~ 0 on random inputs

@@ -118,15 +118,54 @@ def test_missing_file_and_bad_year_collected_together(tmp_path):
         ("generation", {"g": 1}),
         ("generation", True),
         ("path", 7),
+        ("output_dir", 5),
     ],
 )
 def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
     path, doc = write_corpus(tmp_path, n_entries=1)
-    doc["entries"][0][key] = value
+    # output_dir is the one top-level field; its violation carries no entry label
+    target, label = (doc, "") if key == "output_dir" else (doc["entries"][0], "entries[0]: ")
+    target[key] = value
     rewrite(path, doc)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "o"), "--dry-run"])
     assert code == 2
-    assert f"manifest error: entries[0]: {key} must be" in capsys.readouterr().err
+    assert f"manifest error: {label}{key} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, flags",
+    [
+        ("mfdfa", "bidirectional", "false", []),
+        ("mfdfa", "detrend_order", 1.7, []),
+        ("mfdfa", "detrend_order", True, []),
+        ("mfdfa", "fit_range", [1.9, 5.2], []),
+        ("window_plan", "part_count", 2.9, []),
+        ("window_plan", "part_count", True, []),
+        ("window_plan", "window_length", "6", []),
+        (None, "detrend_order", None, ["--detrend-order", "20"]),
+    ],
+)
+def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
+    # settings are not coerced: each of these used to run with a silently
+    # converted value, or (--detrend-order 20) to fail every rendition
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    if section is not None:
+        doc["defaults"].setdefault(section, {})[key] = value
+    rewrite(path, doc)
+    code = main(["run", "--manifest", str(path), "--dry-run", *flags])
+    assert code == 2
+    assert f"manifest error: entries[0]: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["--q-min", "0"], ["--q-min", "1"], ["--q-min", "-1", "--q-max", "2", "--q-step", "3"]],
+)
+def test_q_grid_without_a_spectrum_exits_2(tmp_path, capsys, flags):
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    code = main(["run", "--manifest", str(path), "--dry-run", *flags])
+    assert code == 2
+    assert "manifest error: entries[0]: spectrum needs" in capsys.readouterr().err
 
 
 def test_parse_error_reports_line_and_column(tmp_path):
@@ -411,6 +450,14 @@ def test_synth_zero_rate_exits_2(tmp_path, capsys, kind):
     code = main(["synth", "--out", str(tmp_path / "c"), "--rate", "0", "--kind", kind])
     assert code == 2
     assert capsys.readouterr().err.startswith("synth error: ")
+
+
+def test_synth_fractional_rate_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--rate", "4000.5", "--duration", "24"])
+    assert code == 2
+    assert "synth error: rate" in capsys.readouterr().err
+    assert not corpus.exists()
 
 
 def test_synth_zero_generations_exits_2(tmp_path, capsys):

@@ -222,7 +222,7 @@ def test_fit_range_flows_through_config():
 
 def test_tau_is_linear_for_constant_h():
     q = np.linspace(-5, 5, 41)
-    curve = HurstCurve(q, np.full(41, 0.62), np.zeros(41), np.ones(41))
+    curve = HurstCurve(q, np.full(41, 0.62), np.ones(41))
     tau = tau_from_h(curve)
     assert np.allclose(tau, 0.62 * q - 1.0, atol=1e-15)
     assert tau[20] == -1.0  # q = 0 exactly
@@ -230,7 +230,7 @@ def test_tau_is_linear_for_constant_h():
 
 def test_monofractal_spectrum_collapses_to_point():
     q = np.linspace(-5, 5, 41)
-    curve = HurstCurve(q, np.full(41, 0.62), np.zeros(41), np.ones(41))
+    curve = HurstCurve(q, np.full(41, 0.62), np.ones(41))
     spec = legendre_spectrum(curve)
     assert np.allclose(spec.alpha, 0.62, atol=1e-15)
     assert np.allclose(spec.f_alpha, 1.0, atol=1e-15)
@@ -238,10 +238,10 @@ def test_monofractal_spectrum_collapses_to_point():
 
 def test_spectrum_needs_three_qs_spanning_zero():
     with pytest.raises(InsufficientSpectrumError):
-        legendre_spectrum(HurstCurve(np.array([2.0]), np.array([0.5]), np.zeros(1), np.ones(1)))
+        legendre_spectrum(HurstCurve(np.array([2.0]), np.array([0.5]), np.ones(1)))
     q = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
-        legendre_spectrum(HurstCurve(q, np.full(3, 0.5), np.zeros(3), np.ones(3)))
+        legendre_spectrum(HurstCurve(q, np.full(3, 0.5), np.ones(3)))
 
 
 # --- width -----------------------------------------------------------------------
@@ -398,6 +398,26 @@ def test_config_rejects_bad_grids():
         MfdfaConfig(detrend_order=0)
     with pytest.raises(ConfigError):
         MfdfaConfig(width_method="cubic")
+
+
+def test_config_accepts_numpy_integers():
+    config = MfdfaConfig(
+        detrend_order=np.int64(2), fit_range=(np.int32(1), np.int64(6)),
+        q_zero_epsilon=np.float32(1e-6),
+    )
+    assert config.detrend_order == 2
+    assert config.fit_range == (1, 6) and all(type(b) is int for b in config.fit_range)
+    assert mfdfa(gen_cascade_noise(4096, 0.7, 5), config).hurst.h.size == 41
+
+
+def test_config_rejects_explicit_grid_too_short_to_fit():
+    # decidable without a signal, so raised by the constructor, not per window
+    with pytest.raises(InsufficientScalesError):
+        MfdfaConfig(scale_grid=[16, 32, 64])
+    with pytest.raises(InsufficientScalesError):
+        MfdfaConfig(scale_grid=[16, 32, 64, 128, 256], fit_range=(1, 6))
+    with pytest.raises(ConfigError):
+        MfdfaConfig(fit_range=(2, 5))  # 3 scales on any grid
 
 
 def test_config_enforces_scale_bounds_per_signal():

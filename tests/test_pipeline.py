@@ -61,7 +61,7 @@ def test_analyze_rendition_structure(tmp_path):
     assert len(report.parts) == 2
     assert all(len(p.windows) == 2 for p in report.parts)
     assert not report.errored
-    assert report.mean_h is not None and report.q_grid is not None
+    assert report.mean_hurst is not None
 
     for part in report.parts:
         widths = part.window_widths
@@ -95,8 +95,8 @@ def test_analyze_rendition_is_deterministic(tmp_path):
                 x, y = getattr(wa, f.name), getattr(wb, f.name)
                 # flagged windows carry NaN diagnostics
                 assert x == y or (x != x and y != y), f.name
-    assert np.array_equal(a.q_grid, b.q_grid)
-    assert np.array_equal(a.mean_h, b.mean_h)
+    assert np.array_equal(a.mean_hurst.q_grid, b.mean_hurst.q_grid)
+    assert np.array_equal(a.mean_hurst.h, b.mean_hurst.h)
 
 
 def test_digital_silence_flags_every_window(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from mfaudio import (
     ClipBoundsError,
+    ConfigError,
     EmptySignalError,
     InsufficientAudioError,
     Signal,
@@ -223,6 +224,25 @@ def test_write_wav_round_trip(tmp_path):
     # write scales by 32767, decode divides by 32768: half a step of
     # rounding plus |x|/32768 of scale mismatch
     assert np.abs(back16.samples - samples).max() < 2.0 / 32768
+
+
+@pytest.mark.parametrize(
+    "rate, encoding",
+    [(0.4, "float32"), (4000.5, "float32"), (2.0**30, "float32"), (2.0**31, "int16")],
+)
+def test_write_wav_rejects_rates_a_header_cannot_hold(tmp_path, rate, encoding):
+    path = tmp_path / "rate.wav"
+    with pytest.raises(ConfigError, match="sample rate"):
+        write_wav(path, Signal(np.zeros(8), rate), encoding)
+    assert not path.exists()
+
+
+def test_window_plan_accepts_numpy_scalars():
+    plan = WindowPlan(
+        clip_length=np.float64(60.0), part_count=np.int64(3),
+        part_length=np.float32(20.0), window_length=np.int32(5),
+    )
+    assert plan.windows_per_part == 4
 
 
 def test_extract_clip_identity():
