@@ -82,7 +82,7 @@ def check_type(name: str, value, kind: type) -> None:
 
 
 class DegenerateSegmentError(MfaudioError):
-    """A detrended segment has exactly zero fluctuation.
+    """A detrended segment has zero fluctuation up to the profile's rounding.
 
     Negative-q moments diverge on zero fluctuations, so digital silence
     is rejected instead of being epsilon-floored.  Callers that expect

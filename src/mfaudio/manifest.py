@@ -176,6 +176,8 @@ def validate_manifest(
 
     records: list[RenditionRecord] = []
     seen: dict[tuple, int] = {}
+    # song_id -> part_count -> labels of the entries using it
+    part_counts: dict[str, dict[int, list[str]]] = {}
     for i, entry in enumerate(entries):
         label = f"entries[{i}]"
         if not isinstance(entry, dict):
@@ -230,6 +232,15 @@ def validate_manifest(
             violations.append(f"{label}: {err}")
             continue
         records.append(record)
+        part_counts.setdefault(record.song_id, {}).setdefault(plan.part_count, []).append(label)
+
+    # generation means are taken part by part, so a song needs one part count
+    for song_id, by_count in part_counts.items():
+        if len(by_count) > 1:
+            detail = ", ".join(
+                f"{count} in {', '.join(labels)}" for count, labels in sorted(by_count.items())
+            )
+            violations.append(f"song {song_id!r}: mixed part counts ({detail})")
 
     if violations:
         raise ManifestError(violations)

@@ -5,7 +5,8 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
 
 1. profile       Y(i) = sum_{k<=i} (x_k - mean(x))
 2. fluctuation   F^2(s, v) = mean squared residual of a least-squares
-                 polynomial of degree m over segment v of size s;
+                 polynomial of degree m over segment v of size s, the
+                 part left by a projection onto an orthonormal basis;
                  segments are taken from the start of the profile and,
                  when ``bidirectional``, from the end as well
 3. q-order mean  F_q(s) = { mean_v [F^2(s, v)]^(q/2) }^(1/q)
@@ -23,6 +24,7 @@ input order, so results are bit-identical regardless of scheduling.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -44,6 +46,11 @@ from .signal_io import Signal
 
 DEFAULT_MIN_SCALE = 16
 DEFAULT_SCALE_COUNT = 20
+# Digital-silence tolerance, in rounding units eps * sqrt(N) * max|Y| of
+# the profile.  At N = 48,000 silent segments reach 0.5 units, a window
+# with a tenth of 1e-7-amplitude noise stays above 2,000, and noise,
+# fGn and cascade oracles above 1e5.
+SILENCE_ULPS = 32.0
 
 
 def default_q_grid() -> np.ndarray:
@@ -64,6 +71,13 @@ def default_scale_grid(
     return np.unique(np.rint(np.geomspace(min_scale, max_scale, count)).astype(int))
 
 
+def _as_grid(name: str, value) -> np.ndarray:
+    try:
+        return np.asarray(value)
+    except ValueError:  # a ragged sequence
+        raise ConfigError(f"{name} must be a 1-D sequence, got {value!r}") from None
+
+
 @dataclass(frozen=True, eq=False)
 class MfdfaConfig:
     """Knobs of the analysis; every default is overridable.
@@ -82,7 +96,7 @@ class MfdfaConfig:
     q_zero_epsilon: float = 1e-9
 
     def __post_init__(self):
-        q = default_q_grid() if self.q_grid is None else np.asarray(self.q_grid)
+        q = default_q_grid() if self.q_grid is None else _as_grid("q_grid", self.q_grid)
         if q.ndim != 1 or q.size == 0 or q.dtype.kind not in "iuf":
             raise ConfigError("q_grid must be a non-empty 1-D sequence of numbers")
         if not np.all(np.isfinite(q)):
@@ -98,7 +112,7 @@ class MfdfaConfig:
             raise ConfigError(f"detrend_order must be >= 1, got {self.detrend_order}")
         min_scale = DEFAULT_MIN_SCALE
         if self.scale_grid is not None:
-            s = np.asarray(self.scale_grid)
+            s = _as_grid("scale_grid", self.scale_grid)
             if (s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iuf"
                     or not np.all(s == np.floor(s))):
                 raise ConfigError("scale_grid must be a 1-D sequence of integers")
@@ -256,19 +270,37 @@ def compute_profile(signal) -> Profile:
     return Profile(np.cumsum(x - x.mean()))
 
 
-def _design_matrix(s: int, order: int) -> np.ndarray:
-    # Abscissae scaled to [-1, 1]: shifts/scales leave least-squares
-    # residuals unchanged but keep the Vandermonde well conditioned.
+# Orthonormal bases stay cached per (s, order): a window's default grid
+# has ~20 scales, so this holds the grids of a few window lengths.
+_BASIS_CACHE_SIZE = 64
+
+
+@functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
+def _detrend_basis(s: int, order: int) -> np.ndarray:
+    """Orthonormal basis (s, order + 1) of the polynomials of degree <= order.
+
+    QR of the Vandermonde matrix on abscissae scaled to [-1, 1], which
+    keeps it well conditioned; read-only because it is shared.
+    """
     x = (2.0 * np.arange(s) - (s - 1)) / max(s - 1, 1)
-    return np.polynomial.polynomial.polyvander(x, order)
+    basis = np.ascontiguousarray(np.linalg.qr(x[:, np.newaxis] ** np.arange(order + 1))[0])
+    basis.flags.writeable = False
+    return basis
 
 
 def _segment_msq(segments: np.ndarray, order: int) -> np.ndarray:
-    """Mean squared residual of a degree-``order`` LS fit, per row."""
-    design = _design_matrix(segments.shape[1], order)
-    coef = np.linalg.lstsq(design, segments.T, rcond=None)[0]
-    resid = segments.T - design @ coef
-    return np.mean(resid * resid, axis=0)
+    """Mean squared residual of a degree-``order`` LS fit, per row.
+
+    Each row is first anchored at its own first value.  A constant lies
+    in the fit's span, so the residual is unchanged, but the profile's
+    offset no longer scales the rounding error.  The residual is formed
+    explicitly, r = A - (A Q) Q^T, never as |A|^2 - |Q^T A|^2, which
+    cancels.
+    """
+    basis = _detrend_basis(segments.shape[1], order)
+    resid = segments - segments[:, :1]
+    resid -= (resid @ basis) @ basis.T
+    return np.einsum("ij,ij->i", resid, resid) / segments.shape[1]
 
 
 def segment_fluctuation(
@@ -320,22 +352,36 @@ def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndar
     return out
 
 
+def _silence_floor(profile: Profile) -> float:
+    """Largest F^2 that is digital silence: (SILENCE_ULPS eps sqrt(N) max|Y|)^2.
+
+    Summing N samples into the profile leaves a rounding error of order
+    eps sqrt(N) max|Y|, so a segment whose RMS residual is no more than
+    ``SILENCE_ULPS`` times that cannot be told from a run of zeros.  An
+    all-zero profile has a floor of 0, which F^2 = 0 meets.
+    """
+    y = profile.values
+    return (SILENCE_ULPS * np.finfo(float).eps * math.sqrt(y.size) * float(np.abs(y).max())) ** 2
+
+
 def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) -> FluctuationSurface:
     """q-order fluctuation F_q(s) over the configured scale grid.
 
     Raises DegenerateSegmentError, naming the offending (s, v), if any
-    segment fluctuation is exactly zero: negative-q moments diverge on
-    digital silence.
+    segment is digital silence: its F^2 is at or below
+    ``_silence_floor(profile)``, the size of the profile's own rounding.
+    Negative-q moments diverge on such segments.
     """
     config = config if config is not None else MfdfaConfig()
     y = profile.values
     scales = config.scales_for(y.size)
     q = config.q_grid
+    floor = _silence_floor(profile)
     values = np.empty((q.size, scales.size))
     counts = np.empty(scales.size, dtype=int)
     for j, s in enumerate(scales):
         msq = _scale_fluctuations(y, int(s), config)
-        zero = np.flatnonzero(msq == 0.0)
+        zero = np.flatnonzero(msq <= floor)
         if zero.size:
             v = int(zero[0])
             n_seg = y.size // int(s)

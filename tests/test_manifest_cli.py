@@ -143,18 +143,22 @@ def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
         ("window_plan", "part_count", True, []),
         ("window_plan", "window_length", "6", []),
         (None, "detrend_order", None, ["--detrend-order", "20"]),
+        ("mfdfa", "q_grid", [[1.0], [1.0, 2.0]], []),
+        ("mfdfa", "scales", [[16], [16, 32]], []),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     # settings are not coerced: each of these used to run with a silently
-    # converted value, or (--detrend-order 20) to fail every rendition
+    # converted value, or (--detrend-order 20) to fail every rendition;
+    # a ragged grid is reported under the setting's name
     path, doc = write_corpus(tmp_path, n_entries=1)
     if section is not None:
         doc["defaults"].setdefault(section, {})[key] = value
     rewrite(path, doc)
     code = main(["run", "--manifest", str(path), "--dry-run", *flags])
     assert code == 2
-    assert f"manifest error: entries[0]: {key}" in capsys.readouterr().err
+    named = "scale_grid" if key == "scales" else key  # MfdfaConfig's name for it
+    assert f"manifest error: entries[0]: {named}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -166,6 +170,22 @@ def test_q_grid_without_a_spectrum_exits_2(tmp_path, capsys, flags):
     code = main(["run", "--manifest", str(path), "--dry-run", *flags])
     assert code == 2
     assert "manifest error: entries[0]: spectrum needs" in capsys.readouterr().err
+
+
+def test_mixed_part_counts_exit_2_before_analysis(tmp_path, capsys):
+    # generation means are taken part by part, so this is decided before
+    # any rendition is analysed or any output written
+    path, doc = write_corpus(tmp_path, n_entries=2)
+    doc["entries"][1]["window_plan"] = {"part_count": 4, "part_length": 6.0}
+    rewrite(path, doc)
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(path), "--out", str(out)])
+    assert code == 2
+    assert (
+        "manifest error: song 'song-x': mixed part counts (2 in entries[0], 4 in entries[1])"
+        in capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_parse_error_reports_line_and_column(tmp_path):

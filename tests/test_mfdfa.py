@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mfaudio
 from mfaudio import (
+    CascadeSpec,
     ConfigError,
     DegenerateSegmentError,
     FluctuationSurface,
@@ -17,11 +23,16 @@ from mfaudio import (
     NonConcaveSpectrumError,
     Signal,
     SingularitySpectrum,
+    FgnSpec,
     compute_profile,
     default_scale_grid,
     fit_hurst,
     fluctuation_function,
+    gen_binomial_cascade,
     gen_cascade_noise,
+    gen_fgn,
+    gen_fgn_prefix,
+    gen_white_noise,
     legendre_spectrum,
     mfdfa,
     q_order_means,
@@ -29,6 +40,7 @@ from mfaudio import (
     spectrum_width,
     tau_from_h,
 )
+from mfaudio.mfdfa import _segment_msq
 
 
 # --- profile --------------------------------------------------------------
@@ -173,6 +185,110 @@ def test_digital_silence_is_degenerate():
     assert err.value.scale >= 16
     assert err.value.segment >= 1
     assert "s=" in str(err.value) and "v=" in str(err.value)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("fraction", [0.05, 0.2, 0.5])
+def test_trailing_digital_silence_is_degenerate(fraction, order):
+    # silent segments leave F^2 of rounding size, which need not be exactly 0
+    x = gen_cascade_noise(48_000, 0.7, 1).samples.copy()
+    x[int(x.size * (1 - fraction)):] = 0.0
+    with pytest.raises(DegenerateSegmentError, match="zero fluctuation"):
+        fluctuation_function(compute_profile(x), MfdfaConfig(detrend_order=order))
+
+
+def test_oracles_and_near_silence_are_not_degenerate():
+    near_silent = gen_cascade_noise(48_000, 0.7, 1).samples.copy()
+    near_silent[-4_800:] = 1e-7 * np.random.default_rng(1).standard_normal(4_800)
+    signals = [
+        gen_white_noise(48_000, 0).samples,
+        gen_fgn_prefix(0.3, 48_000, 1).samples,
+        gen_fgn_prefix(0.9, 48_000, 1).samples,
+        gen_binomial_cascade(CascadeSpec(16, 0.75)).samples,
+        gen_cascade_noise(48_000, 0.7, 1).samples,
+        near_silent,  # flagging near-silence is a separate, pipeline-level matter
+    ]
+    for x in signals:
+        for order in (1, 2, 3):
+            surface = fluctuation_function(compute_profile(x), MfdfaConfig(detrend_order=order))
+            assert np.all(surface.values > 0)
+
+
+# --- detrending kernel against references --------------------------------------
+
+def _lstsq_msq(segments, order):
+    """Reference F^2 per row: least squares on the scaled Vandermonde."""
+    s = segments.shape[1]
+    x = (2.0 * np.arange(s) - (s - 1)) / max(s - 1, 1)
+    design = np.polynomial.polynomial.polyvander(x, order)
+    coef = np.linalg.lstsq(design, segments.T, rcond=None)[0]
+    resid = segments.T - design @ coef
+    return np.mean(resid * resid, axis=0)
+
+
+def _segments(y, s):
+    """Forward then backward segments, in fluctuation_function's order."""
+    n = y.size // s
+    return np.concatenate([y[: n * s].reshape(n, s), y[y.size - n * s :].reshape(n, s)[::-1]])
+
+
+@pytest.fixture(scope="module")
+def reference_signals():
+    signals = {f"fgn-{h}": gen_fgn(FgnSpec(h, 2**15, 7)).samples for h in (0.3, 0.5, 0.7, 0.9)}
+    signals["cascade-16"] = gen_binomial_cascade(CascadeSpec(16, 0.75)).samples
+    signals["cascade-noise"] = gen_cascade_noise(2**15, 0.7, 7).samples
+    return signals
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_fluctuation_matches_lstsq_reference(reference_signals, order):
+    config = MfdfaConfig(detrend_order=order)
+    for name, x in reference_signals.items():
+        profile = compute_profile(x)
+        surface = fluctuation_function(profile, config)
+        for j, s in enumerate(surface.scale_grid):
+            msq = _lstsq_msq(_segments(profile.values, int(s)), order)
+            expected = q_order_means(msq, config.q_grid)
+            np.testing.assert_allclose(
+                surface.values[:, j], expected, rtol=1e-9, atol=0, err_msg=f"{name} s={s}"
+            )
+
+
+def test_order_one_fluctuation_matches_extended_precision_on_cascade():
+    # closed-form line fit in np.longdouble; projecting the segments without
+    # anchoring each at its first value misses this bound (~4e-9)
+    y = compute_profile(gen_binomial_cascade(CascadeSpec(16, 0.75))).values
+    for s in default_scale_grid(y.size):
+        segments = _segments(y, int(s))
+        ext = segments.astype(np.longdouble)
+        t = np.arange(s, dtype=np.longdouble)
+        t -= t.mean()
+        yc = ext - ext.mean(axis=1, keepdims=True)
+        resid = yc - np.outer((yc * t).sum(axis=1) / (t * t).sum(), t)
+        expected = (resid * resid).mean(axis=1)
+        rel = np.abs(_segment_msq(segments, 1) - expected) / expected
+        assert float(rel.max()) <= 1e-10, f"s={s}"
+
+
+def test_fluctuation_bytes_do_not_depend_on_blas_threads():
+    script = (
+        "import sys\n"
+        "from mfaudio import compute_profile, fluctuation_function, gen_fgn_prefix\n"
+        "profile = compute_profile(gen_fgn_prefix(0.7, 132_300, 4))\n"
+        "sys.stdout.buffer.write(fluctuation_function(profile).values.tobytes())\n"
+    )
+    src = str(Path(mfaudio.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, check=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert len(outputs[0]) == 41 * 20 * 8
+    assert outputs[0] == outputs[1]
 
 
 # --- scaling fit ---------------------------------------------------------------
@@ -328,8 +444,6 @@ def test_surface_monotone_in_q_on_noise():
 
 @pytest.fixture(scope="module")
 def cascade_result():
-    from mfaudio import CascadeSpec, gen_binomial_cascade
-
     return mfdfa(gen_binomial_cascade(CascadeSpec(16, 0.75)))
 
 
@@ -398,6 +512,10 @@ def test_config_rejects_bad_grids():
         MfdfaConfig(detrend_order=0)
     with pytest.raises(ConfigError):
         MfdfaConfig(width_method="cubic")
+    with pytest.raises(ConfigError, match="q_grid"):
+        MfdfaConfig(q_grid=[[1.0], [1.0, 2.0]])  # ragged
+    with pytest.raises(ConfigError, match="scale_grid"):
+        MfdfaConfig(scale_grid=[[16], [16, 32]])
 
 
 def test_config_accepts_numpy_integers():
