@@ -7,24 +7,7 @@ Synthetic generators with analytically known scaling provide the oracle
 signals the test suite verifies against.
 """
 
-from .errors import (
-    ClipBoundsError,
-    ConfigError,
-    DegenerateSegmentError,
-    EmptySignalError,
-    InsufficientAudioError,
-    InsufficientScalesError,
-    InsufficientSpectrumError,
-    ManifestError,
-    MfaudioError,
-    NonConcaveSpectrumError,
-    NonFiniteDataError,
-    SchemaError,
-    UnsupportedCodecError,
-    WavFormatError,
-)
-from .manifest import Manifest, validate_manifest
-from .mfdfa import (
+from .analysis import (
     FluctuationSurface,
     HurstCurve,
     MfdfaConfig,
@@ -44,6 +27,23 @@ from .mfdfa import (
     spectrum_width,
     tau_from_h,
 )
+from .errors import (
+    ClipBoundsError,
+    ConfigError,
+    DegenerateSegmentError,
+    EmptySignalError,
+    InsufficientAudioError,
+    InsufficientScalesError,
+    InsufficientSpectrumError,
+    ManifestError,
+    MfaudioError,
+    NonConcaveSpectrumError,
+    NonFiniteDataError,
+    SchemaError,
+    UnsupportedCodecError,
+    WavFormatError,
+)
+from .manifest import Manifest, validate_manifest
 from .pipeline import (
     CrossGenerationTable,
     GenerationAggregate,

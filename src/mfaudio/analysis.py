@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -46,6 +46,8 @@ from .signal_io import Signal
 
 DEFAULT_MIN_SCALE = 16
 DEFAULT_SCALE_COUNT = 20
+# Spectrum points with f(alpha) >= APEX_FLOOR enter the quadratic width fit.
+APEX_FLOOR = 0.5
 # Digital-silence tolerance, in rounding units eps * sqrt(N) * max|Y| of
 # the profile.  At N = 48,000 silent segments reach 0.5 units, a window
 # with a tenth of 1e-7-amplitude noise stays above 2,000, and noise,
@@ -58,17 +60,17 @@ def default_q_grid() -> np.ndarray:
     return np.linspace(-5.0, 5.0, 41)
 
 
-def default_scale_grid(
-    n: int, count: int = DEFAULT_SCALE_COUNT, min_scale: int = DEFAULT_MIN_SCALE
-) -> np.ndarray:
-    """Log-spaced integer scales covering [min_scale, n // 4]."""
+def default_scale_grid(n: int) -> np.ndarray:
+    """DEFAULT_SCALE_COUNT log-spaced integer scales covering [DEFAULT_MIN_SCALE, n // 4]."""
     max_scale = n // 4
-    if max_scale < min_scale:
+    if max_scale < DEFAULT_MIN_SCALE:
         raise ConfigError(
-            f"series of length {n} is too short for scales >= {min_scale} "
-            f"(needs at least {4 * min_scale} samples)"
+            f"series of length {n} is too short for scales >= {DEFAULT_MIN_SCALE} "
+            f"(needs at least {4 * DEFAULT_MIN_SCALE} samples)"
         )
-    return np.unique(np.rint(np.geomspace(min_scale, max_scale, count)).astype(int))
+    return np.unique(
+        np.rint(np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_SCALE_COUNT)).astype(int)
+    )
 
 
 def _as_grid(name: str, value) -> np.ndarray:
@@ -80,20 +82,22 @@ def _as_grid(name: str, value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MfdfaConfig:
-    """Knobs of the analysis; every default is overridable.
+    """Settings of the analysis; every field's default is overridable.
 
-    ``scale_grid=None`` resolves to ``default_scale_grid(len(profile))``
-    at analysis time, so one config can serve windows of different sizes.
+    ``scales=None`` resolves to ``default_scale_grid(len(profile))`` at
+    analysis time, so one config can serve windows of different sizes.
     ``fit_range`` is a half-open index range into the scale grid.
+    ``q_zero_epsilon`` is fixed: orders with |q| at or below it take the
+    logarithmic-average limit.
     """
 
     q_grid: np.ndarray | Sequence[float] | None = None
-    scale_grid: np.ndarray | Sequence[int] | None = None
+    scales: np.ndarray | Sequence[int] | None = None
     detrend_order: int = 1
     bidirectional: bool = True
     fit_range: tuple[int, int] | None = None
     width_method: str = "quadratic"  # "quadratic" | "endpoints"
-    q_zero_epsilon: float = 1e-9
+    q_zero_epsilon: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         q = default_q_grid() if self.q_grid is None else _as_grid("q_grid", self.q_grid)
@@ -111,15 +115,15 @@ class MfdfaConfig:
         if self.detrend_order < 1:
             raise ConfigError(f"detrend_order must be >= 1, got {self.detrend_order}")
         min_scale = DEFAULT_MIN_SCALE
-        if self.scale_grid is not None:
-            s = _as_grid("scale_grid", self.scale_grid)
+        if self.scales is not None:
+            s = _as_grid("scales", self.scales)
             if (s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iuf"
                     or not np.all(s == np.floor(s))):
-                raise ConfigError("scale_grid must be a 1-D sequence of integers")
+                raise ConfigError("scales must be a 1-D sequence of integers")
             s = s.astype(int)
             if np.any(np.diff(s) <= 0):
-                raise ConfigError("scale_grid must be strictly increasing")
-            object.__setattr__(self, "scale_grid", s)
+                raise ConfigError("scales must be strictly increasing")
+            object.__setattr__(self, "scales", s)
             min_scale = s[0]
         if min_scale < self.detrend_order + 2:
             raise ConfigError(
@@ -142,11 +146,8 @@ class MfdfaConfig:
             object.__setattr__(self, "fit_range", (lo, hi))
         if self.width_method not in ("quadratic", "endpoints"):
             raise ConfigError(f"unknown width_method {self.width_method!r}")
-        check_type("q_zero_epsilon", self.q_zero_epsilon, float)
-        if not self.q_zero_epsilon > 0:
-            raise ConfigError("q_zero_epsilon must be > 0")
-        if self.scale_grid is not None:
-            self._check_fit(self.scale_grid)
+        if self.scales is not None:
+            self._check_fit(self.scales)
 
     def scales_for(self, n: int) -> np.ndarray:
         """Concrete scale grid for a profile of length n.
@@ -154,13 +155,13 @@ class MfdfaConfig:
         Only the checks that need n live here; enforcing max(s) <= n // 4
         also guarantees the minimum signal length of 4 * min(s).
         """
-        if self.scale_grid is None:
+        if self.scales is None:
             return self._check_fit(default_scale_grid(n))
-        if self.scale_grid[-1] > n // 4:
+        if self.scales[-1] > n // 4:
             raise ConfigError(
-                f"scale {self.scale_grid[-1]} exceeds N/4 = {n // 4} for a series of length {n}"
+                f"scale {self.scales[-1]} exceeds N/4 = {n // 4} for a series of length {n}"
             )
-        return self.scale_grid
+        return self.scales
 
     def _check_fit(self, scales: np.ndarray) -> np.ndarray:
         lo, hi = self.fit_indices(scales.size)
@@ -282,7 +283,7 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     QR of the Vandermonde matrix on abscissae scaled to [-1, 1], which
     keeps it well conditioned; read-only because it is shared.
     """
-    x = (2.0 * np.arange(s) - (s - 1)) / max(s - 1, 1)
+    x = (2.0 * np.arange(s) - (s - 1)) / (s - 1)
     basis = np.ascontiguousarray(np.linalg.qr(x[:, np.newaxis] ** np.arange(order + 1))[0])
     basis.flags.writeable = False
     return basis
@@ -468,13 +469,11 @@ def legendre_spectrum(curve: HurstCurve) -> SingularitySpectrum:
     return SingularitySpectrum(q, tau_from_h(curve), alpha, f_alpha, monotone)
 
 
-def spectrum_width(
-    spectrum: SingularitySpectrum, method: str = "quadratic", apex_floor: float = 0.5
-) -> WidthResult:
+def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> WidthResult:
     """Multifractal width W of a singularity spectrum.
 
     quadratic: least-squares fit of f = A u^2 + B u + 1 (u = alpha -
-    alpha_0, alpha_0 at the apex) over the points with f >= apex_floor;
+    alpha_0, alpha_0 at the apex) over the points with f >= APEX_FLOOR;
     W is the separation of the parabola's roots at f = 0.  endpoints:
     W = max(alpha) - min(alpha) over the q grid, an alternative width
     chosen by ``MfdfaConfig.width_method`` (the pipeline flags windows
@@ -491,7 +490,7 @@ def spectrum_width(
     if method != "quadratic":
         raise ConfigError(f"unknown width method {method!r}")
 
-    mask = f >= apex_floor
+    mask = f >= APEX_FLOOR
     u = alpha[mask] - alpha0
     if np.unique(u).size < 2:
         raise InsufficientSpectrumError("apex neighbourhood too narrow for a quadratic fit")

@@ -31,15 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ManifestError, MfaudioError
+from .analysis import legendre_spectrum
+from .errors import ConfigError, ManifestError, MfaudioError
 from .manifest import Manifest, validate_manifest
-from .mfdfa import legendre_spectrum
 from .pipeline import (
     RenditionReport,
     _slug,
     aggregate_generation,
     analyze_rendition,
-    cross_generation_table,
 )
 from .signal_io import Signal, write_wav
 from .synth import cascade_masses, gen_cascade_noise, gen_fgn_prefix
@@ -60,11 +59,10 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
     """
-    if jobs <= 1:
-        outcomes = [_safe_analyze(rec) for rec in manifest.records]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_safe_analyze, manifest.records))
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        outcomes = list(pool.map(_safe_analyze, manifest.records))
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
 
@@ -107,19 +105,6 @@ def write_windows_csv(reports: list[RenditionReport], path: Path) -> None:
     ))
 
 
-def write_generations_csv(reports: list[RenditionReport], path: Path) -> None:
-    header = ["song_id", "generation", "rendition_count", "part",
-              "part_mean_width", "overall_mean_width"]
-    _write_csv(path, header, (
-        [song_id, agg.generation_index, agg.rendition_count,
-         p, _f17(width), _f17(agg.overall_mean_width)]
-        for song_id in _song_order(reports)
-        for agg in aggregate_generation(
-            [r for r in reports if r.record.song_id == song_id], song_id)
-        for p, width in enumerate(agg.part_mean_widths, start=1)
-    ))
-
-
 def write_spectrum_csv(report: RenditionReport, path: Path) -> None:
     curve, columns = report.mean_hurst, []
     if curve is not None:
@@ -129,48 +114,37 @@ def write_spectrum_csv(report: RenditionReport, path: Path) -> None:
     _write_csv(path, ["q", "h", "tau", "alpha", "f_alpha"], rows)
 
 
-def _song_order(reports: list[RenditionReport]) -> list[str]:
-    order: list[str] = []
-    for report in reports:
-        if report.record.song_id not in order:
-            order.append(report.record.song_id)
-    return order
-
-
 _PLOT_HEADER = ["song_id", "generation", "part", "mean_width"]
 
 
-def emit_plot_data(reports: list[RenditionReport], out_dir: Path) -> list[Path]:
-    """Long-format (song, generation, part, mean_width) CSVs.
-
-    One file per song plus one combined file; the values equal the
-    cross-generation table entries exactly.
-    """
-    written: list[Path] = []
-    combined_rows: list[list] = []
-    for song_id in _song_order(reports):
-        table = cross_generation_table([r for r in reports if r.record.song_id == song_id])
-        rows = []
-        for g_idx, gen in enumerate(table.generation_indices):
-            for p in range(table.mean_widths.shape[1]):
-                rows.append([song_id, gen, p + 1, _f17(table.mean_widths[g_idx, p])])
-        combined_rows.extend(rows)
-        written.append(out_dir / f"plot_{_slug(song_id)}.csv")
-        _write_csv(written[-1], _PLOT_HEADER, rows)
-
-    written.append(out_dir / "plot_all_songs.csv")
-    _write_csv(written[-1], _PLOT_HEADER, combined_rows)
-    return written
+def write_generation_tables(reports: list[RenditionReport], out_dir: Path) -> None:
+    """``generations.csv`` plus the long-format (song, generation, part,
+    mean_width) plot data: one ``plot_<song>.csv`` per song and
+    ``plot_all_songs.csv``, all from one aggregation per song."""
+    generation_rows: list[list] = []
+    plot_rows: list[list] = []
+    for song_id in dict.fromkeys(r.record.song_id for r in reports):  # first-seen order
+        song_rows = []
+        for agg in aggregate_generation(reports, song_id):
+            for p, width in enumerate(agg.part_mean_widths, start=1):
+                generation_rows.append([song_id, agg.generation_index, agg.rendition_count,
+                                        p, _f17(width), _f17(agg.overall_mean_width)])
+                song_rows.append([song_id, agg.generation_index, p, _f17(width)])
+        _write_csv(out_dir / f"plot_{_slug(song_id)}.csv", _PLOT_HEADER, song_rows)
+        plot_rows.extend(song_rows)
+    header = ["song_id", "generation", "rendition_count", "part",
+              "part_mean_width", "overall_mean_width"]
+    _write_csv(out_dir / "generations.csv", header, generation_rows)
+    _write_csv(out_dir / "plot_all_songs.csv", _PLOT_HEADER, plot_rows)
 
 
 def write_outputs(reports: list[RenditionReport], out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_widths_csv(reports, out_dir / "widths.csv")
     write_windows_csv(reports, out_dir / "windows.csv")
-    write_generations_csv(reports, out_dir / "generations.csv")
     for report in reports:
         write_spectrum_csv(report, out_dir / f"spectrum_{report.record.rendition_id}.csv")
-    emit_plot_data(reports, out_dir)
+    write_generation_tables(reports, out_dir)
 
 
 def _cmd_run(args) -> int:
@@ -237,6 +211,8 @@ def _cmd_run(args) -> int:
 def _cmd_synth(args) -> int:
     if args.generations < 1 or args.parts < 1:
         problem = "generations and parts must be >= 1"
+    elif args.seed < 0:
+        problem = "seed must be >= 0"
     elif not (args.rate > 0 and args.rate.is_integer()
               and 2 <= args.duration * args.rate < math.inf):
         problem = "rate must be a whole number of Hz > 0, and duration * rate at least 2 samples"
@@ -306,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="analyze a corpus manifest and emit CSV tables")
     run_p.add_argument("--manifest", required=True, help="path to the corpus manifest (JSON)")
     run_p.add_argument("--out", default=None, help="output directory (default: manifest output_dir, $MFAUDIO_OUT, or ./mfaudio-out)")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel renditions (outputs are identical for any value)")
+    run_p.add_argument("--jobs", type=int, default=1, help="parallel renditions, >= 1 (outputs are identical for any value)")
     run_p.add_argument("--dry-run", action="store_true", help="validate the manifest and exit")
     run_p.add_argument("--q-min", type=float, default=None)
     run_p.add_argument("--q-max", type=float, default=None)
@@ -326,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     synth_p.add_argument("--rate", type=float, default=22050.0, help="sample rate in Hz")
     synth_p.add_argument("--parts", type=int, default=6)
     synth_p.add_argument("--window-seconds", type=float, default=6.0)
-    synth_p.add_argument("--seed", type=int, default=0)
+    synth_p.add_argument("--seed", type=int, default=0, help="base seed, >= 0")
     synth_p.set_defaults(func=_cmd_synth)
     return parser
 

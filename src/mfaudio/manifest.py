@@ -12,9 +12,11 @@ Merge precedence, lowest to highest: WindowPlan / MfdfaConfig defaults,
 manifest ``defaults``, command-line overrides, per-entry settings.  A
 setting keeps its JSON type and the dataclass checks it; nothing is
 coerced.  ``mfdfa`` accepts either an explicit ``q_grid`` list or the
-(q_min, q_max, q_step) triple, and either an explicit ``scales`` integer
-list or a "MIN:MAX:COUNT" log-spacing rule.  A ``part_length`` of null
-derives ``clip_length / part_count``.
+(q_min, q_max, q_step) triple, never both once the layers are merged,
+and either an explicit ``scales`` integer list or a "MIN:MAX:COUNT"
+log-spacing rule.  A ``part_length`` of null derives
+``clip_length / part_count``.  Entries must not share an output file
+name: spectrum_<rendition_id>.csv and, across songs, plot_<song>.csv.
 
 Audio paths are resolved relative to the manifest file.  Validation
 reports every violation, not just the first.
@@ -29,17 +31,16 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import MfdfaConfig, check_spectrum_grid, default_q_grid
 from .errors import ConfigError, ManifestError, MfaudioError, check_type
-from .mfdfa import MfdfaConfig, check_spectrum_grid, default_q_grid
-from .pipeline import RenditionRecord
+from .pipeline import RenditionRecord, _slug
 from .signal_io import WindowPlan
 
 SUPPORTED_VERSION = 1
 
 _PLAN_KEYS = {f.name for f in fields(WindowPlan)}
-# the manifest spells scale_grid "scales" and also takes q_grid as a q triple
-_MFDFA_KEYS = {f.name for f in fields(MfdfaConfig)} - {"scale_grid"} | {
-    "scales", "q_min", "q_max", "q_step"}
+_Q_TRIPLE = ("q_min", "q_max", "q_step")
+_MFDFA_KEYS = {f.name for f in fields(MfdfaConfig)} | set(_Q_TRIPLE)
 _ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", "window_plan", "mfdfa"}
 _REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int, "path": str}
 
@@ -48,7 +49,6 @@ _REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int
 class Manifest:
     """Validated corpus description: one RenditionRecord per entry."""
 
-    version: int
     records: tuple[RenditionRecord, ...]
     output_dir: str | None
     source_path: Path
@@ -80,24 +80,28 @@ def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:
 def config_from_settings(settings: dict) -> MfdfaConfig:
     """Build an MfdfaConfig from merged manifest/CLI settings.
 
-    The q triple becomes ``q_grid`` and ``scales`` becomes ``scale_grid``;
-    every other setting is passed to MfdfaConfig as is.
+    The q triple becomes ``q_grid`` and a "MIN:MAX:COUNT" ``scales`` rule
+    is expanded; every other setting is passed to MfdfaConfig as is.
     """
     unknown = set(settings) - _MFDFA_KEYS
     if unknown:
         raise ConfigError(f"unknown mfdfa setting(s): {', '.join(sorted(unknown))}")
 
     kwargs = dict(settings)
-    triple = {k: kwargs.pop(k) for k in ("q_min", "q_max", "q_step") if k in kwargs}
-    if kwargs.get("q_grid") is None and triple:
+    triple = {k: kwargs.pop(k) for k in _Q_TRIPLE if k in kwargs}
+    if triple:
+        if kwargs.get("q_grid") is not None:
+            raise ConfigError(
+                f"q_grid excludes {', '.join(triple)}: give the grid or the range, not both"
+            )
         default = default_q_grid()
         kwargs["q_grid"] = build_q_grid(
             triple.get("q_min", default[0]),
             triple.get("q_max", default[-1]),
             triple.get("q_step", default[1] - default[0]),
         )
-    scales = kwargs.pop("scales", None)
-    kwargs["scale_grid"] = parse_scale_rule(scales) if isinstance(scales, str) else scales
+    if isinstance(kwargs.get("scales"), str):
+        kwargs["scales"] = parse_scale_rule(kwargs["scales"])
     return MfdfaConfig(**kwargs)
 
 
@@ -142,7 +146,7 @@ def validate_manifest(
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ManifestError(f"{path}: cannot read manifest: {err}") from None
     try:
         doc = json.loads(text)
@@ -175,7 +179,10 @@ def validate_manifest(
         entries = []
 
     records: list[RenditionRecord] = []
-    seen: dict[tuple, int] = {}
+    # output names already taken: rendition_id -> entry index, and
+    # song slug -> (song_id, entry index)
+    renditions: dict[str, int] = {}
+    songs: dict[str, tuple[str, int]] = {}
     # song_id -> part_count -> labels of the entries using it
     part_counts: dict[str, dict[int, list[str]]] = {}
     for i, entry in enumerate(entries):
@@ -201,15 +208,6 @@ def validate_manifest(
             violations.extend(mistyped)
             continue
 
-        triple = (entry["song_id"], entry["artist"], entry["year"])
-        if triple in seen:
-            violations.append(
-                f"{label}: duplicate (song_id, artist, year) {triple!r} "
-                f"already defined at entries[{seen[triple]}]"
-            )
-            continue
-        seen[triple] = i
-
         audio_path = (path.parent / entry["path"]).resolve()
         if not audio_path.is_file():
             violations.append(f"{label}: missing file {audio_path}")
@@ -231,6 +229,22 @@ def validate_manifest(
         except (MfaudioError, TypeError, ValueError) as err:
             violations.append(f"{label}: {err}")
             continue
+
+        rendition_id, slug = record.rendition_id, _slug(record.song_id)
+        if rendition_id in renditions:
+            violations.append(
+                f"{label}: duplicate output name spectrum_{rendition_id}.csv, "
+                f"already taken by entries[{renditions[rendition_id]}]"
+            )
+            continue
+        song_id, first = songs.setdefault(slug, (record.song_id, i))
+        if song_id != record.song_id:
+            violations.append(
+                f"{label}: duplicate output name plot_{slug}.csv, already taken by "
+                f"song_id {song_id!r} at entries[{first}]"
+            )
+            continue
+        renditions[rendition_id] = i
         records.append(record)
         part_counts.setdefault(record.song_id, {}).setdefault(plan.part_count, []).append(label)
 
@@ -244,4 +258,4 @@ def validate_manifest(
 
     if violations:
         raise ManifestError(violations)
-    return Manifest(SUPPORTED_VERSION, tuple(records), output_dir, path)
+    return Manifest(tuple(records), output_dir, path)

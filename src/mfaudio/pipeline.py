@@ -18,6 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .analysis import HurstCurve, MfdfaConfig, mfdfa
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -26,7 +27,6 @@ from .errors import (
     NonConcaveSpectrumError,
     SchemaError,
 )
-from .mfdfa import HurstCurve, MfdfaConfig, mfdfa
 from .signal_io import Signal, WindowPlan, decode_wav, partition_windows
 
 # Window-level failures that flag the window instead of aborting the
@@ -59,7 +59,7 @@ class RenditionRecord:
 
     def __post_init__(self):
         if self.generation_index < 1:
-            raise ConfigError(f"generation_index must be >= 1, got {self.generation_index}")
+            raise ConfigError(f"generation must be >= 1, got {self.generation_index}")
         if not 1900 <= self.year <= 2100:
             raise ConfigError(f"year {self.year} is outside the plausible range 1900..2100")
 

@@ -30,6 +30,9 @@ from .errors import ConfigError
 from .signal_io import Signal
 
 _LN2 = math.log(2.0)
+# gen_cascade_noise raises the unit-mean cascade envelope to this power,
+# which softens the modulation
+ENVELOPE_POWER = 0.5
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -199,17 +202,11 @@ def shuffle(signal: Signal, seed: int) -> Signal:
     return Signal(signal.samples[perm], signal.sample_rate)
 
 
-def gen_cascade_noise(
-    n: int,
-    weight: float,
-    seed: int,
-    sample_rate: float = 1.0,
-    envelope_power: float = 0.5,
-) -> Signal:
+def gen_cascade_noise(n: int, weight: float, seed: int, sample_rate: float = 1.0) -> Signal:
     """Gaussian noise amplitude-modulated by a binomial-cascade envelope.
 
     The envelope is the cascade mass series scaled to unit mean and
-    raised to ``envelope_power`` (lower values soften the modulation).
+    raised to ``ENVELOPE_POWER``.
     The result is a stationary-carrier signal with music-like burstiness
     and a genuinely multifractal amplitude structure, usable at any
     length.
@@ -220,6 +217,6 @@ def gen_cascade_noise(
         raise ConfigError(f"weight must lie in (0.5, 1), got {weight}")
     levels = max(1, math.ceil(math.log2(n)))
     masses = cascade_masses(levels, weight)[:n]
-    envelope = (masses * 2.0**levels) ** envelope_power
+    envelope = (masses * 2.0**levels) ** ENVELOPE_POWER
     noise = _rng(seed).standard_normal(n)
     return Signal(noise * envelope, sample_rate)

@@ -77,14 +77,25 @@ def test_minimal_manifest_applies_defaults(tmp_path):
 
 
 def test_duplicate_entries_name_both_positions(tmp_path):
-    path, doc = write_corpus(tmp_path, n_entries=2)
-    doc["entries"][1] = dict(doc["entries"][0])
-    rewrite(path, doc)
-    with pytest.raises(ManifestError) as err:
-        validate_manifest(path)
-    message = str(err.value)
-    assert "entries[1]" in message and "entries[0]" in message
-    assert "duplicate" in message
+    # outputs are named by slug, so the last two pairs of entries would
+    # share spectrum_song-x-a-b-1950.csv and plot_a.csv
+    for first, second in (
+        (None, None),  # an exact copy
+        ({"artist": "a b"}, {"artist": "a-b", "year": 1950}),
+        ({"song_id": "A"}, {"song_id": "a"}),
+    ):
+        path, doc = write_corpus(tmp_path, n_entries=2)
+        if first is None:
+            doc["entries"][1] = dict(doc["entries"][0])
+        else:
+            doc["entries"][0].update(first)
+            doc["entries"][1].update(second)
+        rewrite(path, doc)
+        with pytest.raises(ManifestError) as err:
+            validate_manifest(path)
+        message = str(err.value)
+        assert "entries[1]" in message and "entries[0]" in message
+        assert "duplicate" in message
 
 
 def test_entry_override_is_local(tmp_path):
@@ -119,6 +130,7 @@ def test_missing_file_and_bad_year_collected_together(tmp_path):
         ("generation", True),
         ("path", 7),
         ("output_dir", 5),
+        ("generation", 0),
     ],
 )
 def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
@@ -157,8 +169,35 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     rewrite(path, doc)
     code = main(["run", "--manifest", str(path), "--dry-run", *flags])
     assert code == 2
-    named = "scale_grid" if key == "scales" else key  # MfdfaConfig's name for it
-    assert f"manifest error: entries[0]: {named}" in capsys.readouterr().err
+    assert f"manifest error: entries[0]: {key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "where, flags",
+    [("defaults", ["--q-step", "0.5"]), ("entry", [])],
+)
+def test_q_grid_and_q_range_exclude_each_other(tmp_path, capsys, where, flags):
+    # a q_grid used to win silently over any q_min/q_max/q_step
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    doc["defaults"]["mfdfa"] = {"q_grid": [-4.0, -2.0, 0.0, 2.0, 4.0]}
+    if where == "entry":
+        doc["entries"][0]["mfdfa"] = {"q_min": -3.0}
+    rewrite(path, doc)
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(path), "--out", str(out), *flags])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "manifest error: entries[0]: q_grid excludes" in err
+    assert ("q_step" if flags else "q_min") in err
+    assert not out.exists()
+
+
+def test_unreadable_manifest_exits_2(tmp_path, capsys):
+    path = tmp_path / "manifest.json"
+    path.write_bytes(b'{"version": 1, "output_dir": "\xff"}')  # not UTF-8
+    code = main(["run", "--manifest", str(path), "--dry-run"])
+    assert code == 2
+    assert "cannot read manifest" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -224,7 +263,7 @@ def test_manifest_accepts_explicit_grids(tmp_path):
     rewrite(path, doc)
     record = validate_manifest(path).records[0]
     assert np.allclose(record.config.q_grid, [-2.0, 0.0, 2.0])
-    assert list(record.config.scale_grid) == [16, 32, 64, 128, 256]
+    assert list(record.config.scales) == [16, 32, 64, 128, 256]
     assert record.config.fit_range == (1, 5)
 
 
@@ -310,6 +349,17 @@ def test_run_is_deterministic_across_jobs(tmp_path):
             assert (outs[0] / name).read_bytes() == (other / name).read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
+    # these used to run serially without a word
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(path), "--out", str(out), "--jobs", jobs])
+    assert code == 2
+    assert "run error: jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_plot_data_matches_cross_generation_table(tmp_path):
     from mfaudio import cross_generation_table
     from mfaudio.cli import run_corpus
@@ -332,12 +382,18 @@ def test_plot_data_matches_cross_generation_table(tmp_path):
     assert combined == rows  # single song: identical content
 
 
-def test_emit_plot_data_empty_reports_writes_header_only(tmp_path):
-    from mfaudio.cli import emit_plot_data
+def test_generation_tables_of_no_reports_are_headers_only(tmp_path):
+    from mfaudio.cli import write_generation_tables
 
-    written = emit_plot_data([], tmp_path)
-    assert [p.name for p in written] == ["plot_all_songs.csv"]
-    assert read_csv(written[0]) == [["song_id", "generation", "part", "mean_width"]]
+    write_generation_tables([], tmp_path)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["generations.csv", "plot_all_songs.csv"]
+    assert read_csv(tmp_path / "plot_all_songs.csv") == [
+        ["song_id", "generation", "part", "mean_width"]
+    ]
+    assert read_csv(tmp_path / "generations.csv") == [
+        ["song_id", "generation", "rendition_count", "part",
+         "part_mean_width", "overall_mean_width"]
+    ]
 
 
 def test_silent_rendition_errors_with_identifier(tmp_path, capsys):
@@ -477,6 +533,15 @@ def test_synth_fractional_rate_exits_2(tmp_path, capsys):
     code = main(["synth", "--out", str(corpus), "--rate", "4000.5", "--duration", "24"])
     assert code == 2
     assert "synth error: rate" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_synth_negative_seed_exits_2(tmp_path, capsys):
+    # PCG64 rejects a negative seed; this used to fail after audio/ was made
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--seed", "-3", "--generations", "2"])
+    assert code == 2
+    assert "synth error: seed" in capsys.readouterr().err
     assert not corpus.exists()
 
 

@@ -40,7 +40,7 @@ from mfaudio import (
     spectrum_width,
     tau_from_h,
 )
-from mfaudio.mfdfa import _segment_msq
+from mfaudio.analysis import _segment_msq
 
 
 # --- profile --------------------------------------------------------------
@@ -76,14 +76,14 @@ def test_segment_fluctuation_exact_line_is_zero():
     prof = compute_profile(np.ones(12))  # profile is exactly 0, a line
     assert segment_fluctuation(prof, 4, 1, order=1) == pytest.approx(0.0, abs=1e-18)
 
-    from mfaudio.mfdfa import Profile
+    from mfaudio.analysis import Profile
 
     line = Profile(2.5 * np.arange(8.0) - 3.0)
     assert segment_fluctuation(line, 8, 1, order=1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_segment_fluctuation_exact_quadratic_is_zero():
-    from mfaudio.mfdfa import Profile
+    from mfaudio.analysis import Profile
 
     x = np.arange(9.0)
     quad = Profile(0.5 * x * x - 2.0 * x + 1.0)
@@ -93,14 +93,14 @@ def test_segment_fluctuation_exact_quadratic_is_zero():
 def test_segment_fluctuation_hand_computed_normal_equations():
     # values (0, 1, 0): best order-1 fit is the constant 1/3,
     # residuals (-1/3, 2/3, -1/3), mean square 2/9
-    from mfaudio.mfdfa import Profile
+    from mfaudio.analysis import Profile
 
     prof = Profile(np.array([0.0, 1.0, 0.0]))
     assert segment_fluctuation(prof, 3, 1, order=1) == pytest.approx(2.0 / 9.0, abs=1e-12)
 
 
 def test_segment_fluctuation_directions():
-    from mfaudio.mfdfa import Profile
+    from mfaudio.analysis import Profile
 
     prof = Profile(np.array([0.0, 1.0, 0.0, 7.0, 7.0, 7.0]))
     fwd = segment_fluctuation(prof, 3, 1, direction="forward")
@@ -160,7 +160,7 @@ def test_fluctuation_function_matches_per_segment_route():
     rng = np.random.default_rng(8)
     sig = rng.standard_normal(256)
     prof = compute_profile(sig)
-    config = MfdfaConfig(scale_grid=[8, 16, 32, 64], q_grid=[-2.0, 0.0, 2.0])
+    config = MfdfaConfig(scales=[8, 16, 32, 64], q_grid=[-2.0, 0.0, 2.0])
     surface = fluctuation_function(prof, config)
     for j, s in enumerate(surface.scale_grid):
         n_seg = prof.values.size // s
@@ -173,7 +173,7 @@ def test_fluctuation_function_matches_per_segment_route():
 
 def test_fluctuation_function_unidirectional_counts():
     prof = compute_profile(np.random.default_rng(1).standard_normal(256))
-    config = MfdfaConfig(scale_grid=[8, 16, 32, 64], bidirectional=False)
+    config = MfdfaConfig(scales=[8, 16, 32, 64], bidirectional=False)
     surface = fluctuation_function(prof, config)
     assert list(surface.segment_counts) == [32, 16, 8, 4]
 
@@ -507,21 +507,20 @@ def test_config_rejects_bad_grids():
     with pytest.raises(ConfigError):
         MfdfaConfig(q_grid=[-1.0, 0.0, 1.0])  # missing q = 2
     with pytest.raises(ConfigError):
-        MfdfaConfig(scale_grid=[4, 8], detrend_order=3)  # s < m + 2
+        MfdfaConfig(scales=[4, 8], detrend_order=3)  # s < m + 2
     with pytest.raises(ConfigError):
         MfdfaConfig(detrend_order=0)
     with pytest.raises(ConfigError):
         MfdfaConfig(width_method="cubic")
     with pytest.raises(ConfigError, match="q_grid"):
         MfdfaConfig(q_grid=[[1.0], [1.0, 2.0]])  # ragged
-    with pytest.raises(ConfigError, match="scale_grid"):
-        MfdfaConfig(scale_grid=[[16], [16, 32]])
+    with pytest.raises(ConfigError, match="scales"):
+        MfdfaConfig(scales=[[16], [16, 32]])
 
 
 def test_config_accepts_numpy_integers():
     config = MfdfaConfig(
         detrend_order=np.int64(2), fit_range=(np.int32(1), np.int64(6)),
-        q_zero_epsilon=np.float32(1e-6),
     )
     assert config.detrend_order == 2
     assert config.fit_range == (1, 6) and all(type(b) is int for b in config.fit_range)
@@ -531,15 +530,15 @@ def test_config_accepts_numpy_integers():
 def test_config_rejects_explicit_grid_too_short_to_fit():
     # decidable without a signal, so raised by the constructor, not per window
     with pytest.raises(InsufficientScalesError):
-        MfdfaConfig(scale_grid=[16, 32, 64])
+        MfdfaConfig(scales=[16, 32, 64])
     with pytest.raises(InsufficientScalesError):
-        MfdfaConfig(scale_grid=[16, 32, 64, 128, 256], fit_range=(1, 6))
+        MfdfaConfig(scales=[16, 32, 64, 128, 256], fit_range=(1, 6))
     with pytest.raises(ConfigError):
         MfdfaConfig(fit_range=(2, 5))  # 3 scales on any grid
 
 
 def test_config_enforces_scale_bounds_per_signal():
-    config = MfdfaConfig(scale_grid=[16, 32, 64, 128])
+    config = MfdfaConfig(scales=[16, 32, 64, 128])
     with pytest.raises(ConfigError):
         config.scales_for(256)  # 128 > 256 // 4
 
