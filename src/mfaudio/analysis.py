@@ -11,6 +11,10 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
                  when ``bidirectional``, from the end as well
 3. q-order mean  F_q(s) = { mean_v [F^2(s, v)]^(q/2) }^(1/q)
                  F_0(s) = exp{ 0.5 * mean_v ln F^2(s, v) }
+                 taken over all scales in one pass on ln F^2, anchored
+                 at each scale's maximum for q > 0 and its minimum for
+                 q < 0, so |q| up to 200 (tested) neither overflows nor
+                 underflows
 4. scaling       F_q(s) ~ s^h(q), fitted by OLS in ln-ln space
 5. spectrum      tau(q) = q h(q) - 1;  alpha = h + q h';
                  f(alpha) = q (alpha - h) + 1
@@ -328,28 +332,39 @@ def segment_fluctuation(
 
 
 def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndarray:
-    """q-order overall RMS variation of a set of segment fluctuations.
+    """q-order overall RMS variation of one scale's segment fluctuations.
 
-    ``fluctuations`` are the squared residual means F^2(s, v).  Orders
-    with |q| <= q_zero_epsilon use the logarithmic-average limit.  The
-    moments are evaluated through log-sum-exp so extreme q neither
-    overflow nor underflow.
+    ``fluctuations`` are the squared residual means F^2(s, v), all > 0.
+    This is the one-scale call of ``_q_moments``, the kernel that
+    ``fluctuation_function`` runs on every scale at once.
     """
-    msq = np.asarray(fluctuations, dtype=float)
-    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    msq = np.atleast_1d(np.asarray(fluctuations, dtype=float))
     if np.any(msq <= 0):
         raise ConfigError("q-order means need strictly positive fluctuations")
-    logs = np.log(msq)
-    out = np.empty(q.size)
+    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    return _q_moments(np.log(msq), np.zeros(1, dtype=int), q, q_zero_epsilon)[:, 0]
+
+
+def _q_moments(logs: np.ndarray, starts: np.ndarray, q: np.ndarray,
+               q_zero_epsilon: float) -> np.ndarray:
+    """F_q of every scale, shape (q.size, starts.size), from ln F^2.
+
+    ``logs`` holds the scales' ln F^2 back to back, scale j from
+    ``starts[j]``.  Orders with |q| <= q_zero_epsilon take the
+    logarithmic mean.  The others are anchored by sign: ln F^2 minus the
+    scale's maximum for q > 0 and its minimum for q < 0, so every
+    exponent is <= 0, each scale's largest term is exactly 1, and no
+    order overflows or underflows.
+    """
+    counts = np.diff(np.append(starts, logs.size))
+    out = np.empty((q.size, starts.size))
     near_zero = np.abs(q) <= q_zero_epsilon
-    if near_zero.any():
-        out[near_zero] = math.exp(0.5 * logs.mean())
-    rest = ~near_zero
-    if rest.any():
-        z = 0.5 * np.outer(q[rest], logs)
-        zmax = z.max(axis=1)
-        lse = zmax + np.log(np.exp(z - zmax[:, np.newaxis]).sum(axis=1))
-        out[rest] = np.exp((lse - math.log(logs.size)) / q[rest])
+    out[near_zero] = np.exp(0.5 * np.add.reduceat(logs, starts) / counts)
+    for rows, extreme in ((q > q_zero_epsilon, np.maximum), (q < -q_zero_epsilon, np.minimum)):
+        anchor = extreme.reduceat(logs, starts)
+        terms = np.multiply.outer(0.5 * q[rows], logs - np.repeat(anchor, counts))
+        sums = np.add.reduceat(np.exp(terms, out=terms), starts, axis=1)
+        out[rows] = np.exp(0.5 * anchor + np.log(sums / counts) / q[rows, np.newaxis])
     return out
 
 
@@ -368,32 +383,30 @@ def _silence_floor(profile: Profile) -> float:
 def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) -> FluctuationSurface:
     """q-order fluctuation F_q(s) over the configured scale grid.
 
-    Raises DegenerateSegmentError, naming the offending (s, v), if any
-    segment is digital silence: its F^2 is at or below
-    ``_silence_floor(profile)``, the size of the profile's own rounding.
-    Negative-q moments diverge on such segments.
+    Raises DegenerateSegmentError, naming the first offending (s, v) in
+    scale-then-segment order, if any segment is digital silence: its F^2
+    is at or below ``_silence_floor(profile)``, the size of the profile's
+    own rounding.  Negative-q moments diverge on such segments.
     """
     config = config if config is not None else MfdfaConfig()
     y = profile.values
     scales = config.scales_for(y.size)
-    q = config.q_grid
-    floor = _silence_floor(profile)
-    values = np.empty((q.size, scales.size))
-    counts = np.empty(scales.size, dtype=int)
-    for j, s in enumerate(scales):
-        msq = _scale_fluctuations(y, int(s), config)
-        zero = np.flatnonzero(msq <= floor)
-        if zero.size:
-            v = int(zero[0])
-            n_seg = y.size // int(s)
-            if v < n_seg:
-                raise DegenerateSegmentError(int(s), v + 1, "forward")
-            raise DegenerateSegmentError(int(s), v - n_seg + 1, "backward")
-        counts[j] = msq.size
-        values[:, j] = q_order_means(msq, q, config.q_zero_epsilon)
+    msq = [_scale_fluctuations(y, int(s), config) for s in scales]
+    counts = np.array([m.size for m in msq])
+    starts = np.cumsum(counts) - counts
+    msq = np.concatenate(msq)
+    silent = msq <= _silence_floor(profile)
+    if silent.any():
+        i = int(silent.argmax())
+        j = int(np.searchsorted(starts, i, side="right")) - 1
+        s, v, n_seg = int(scales[j]), i - int(starts[j]), y.size // int(scales[j])
+        if v < n_seg:
+            raise DegenerateSegmentError(s, v + 1, "forward")
+        raise DegenerateSegmentError(s, v - n_seg + 1, "backward")
+    values = _q_moments(np.log(msq), starts, config.q_grid, config.q_zero_epsilon)
     if not np.all(np.isfinite(values)):
         raise NonFiniteDataError("fluctuation function overflowed; rescale the input")
-    return FluctuationSurface(q, scales, values, counts)
+    return FluctuationSurface(config.q_grid, scales, values, counts)
 
 
 def _scale_fluctuations(y: np.ndarray, s: int, config: MfdfaConfig) -> np.ndarray:

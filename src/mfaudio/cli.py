@@ -59,12 +59,16 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
     """
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    _check_jobs(jobs)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         outcomes = list(pool.map(_safe_analyze, manifest.records))
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
 
 def _safe_analyze(record):
@@ -166,6 +170,7 @@ def _cmd_run(args) -> int:
             print(f"manifest error: {violation}", file=sys.stderr)
         return 2
 
+    _check_jobs(args.jobs)
     if args.dry_run:
         print(f"manifest OK: {len(manifest.records)} entr{'y' if len(manifest.records) == 1 else 'ies'}")
         return 0
@@ -311,7 +316,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except MfaudioError as err:  # e.g. a synth rate too high for a WAV header
+    except (MfaudioError, OSError) as err:  # e.g. a synth --out under a regular file
         print(f"{args.command} error: {err}", file=sys.stderr)
         return 2
 

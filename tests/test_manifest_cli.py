@@ -349,6 +349,13 @@ def test_run_is_deterministic_across_jobs(tmp_path):
             assert (outs[0] / name).read_bytes() == (other / name).read_bytes()
 
 
+def test_dry_run_checks_jobs(tmp_path, capsys):
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    code = main(["run", "--manifest", str(path), "--jobs", "0", "--dry-run"])
+    assert code == 2
+    assert "run error: jobs must be >= 1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
     # these used to run serially without a word
@@ -551,3 +558,11 @@ def test_synth_zero_generations_exits_2(tmp_path, capsys):
     assert code == 2
     assert "synth error: generations" in capsys.readouterr().err
     assert not (corpus / "manifest.json").exists()
+
+
+def test_synth_unwritable_out_exits_2(tmp_path, capsys):
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    code = main(["synth", "--out", str(blocker / "c"), "--generations", "1"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("synth error: ")

@@ -40,7 +40,8 @@ from mfaudio import (
     spectrum_width,
     tau_from_h,
 )
-from mfaudio.analysis import _segment_msq
+from mfaudio.analysis import _scale_fluctuations, _segment_msq
+from mfaudio.manifest import build_q_grid
 
 
 # --- profile --------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_fluctuation_function_matches_per_segment_route():
         n_seg = prof.values.size // s
         msq = [segment_fluctuation(prof, int(s), v, 1, "forward") for v in range(1, n_seg + 1)]
         msq += [segment_fluctuation(prof, int(s), v, 1, "backward") for v in range(1, n_seg + 1)]
-        expected = q_order_means(msq, config.q_grid)
+        expected = _lse_q_means(msq, config.q_grid)
         assert np.allclose(surface.values[:, j], expected, rtol=1e-12)
         assert surface.segment_counts[j] == 2 * n_seg
 
@@ -195,6 +196,22 @@ def test_trailing_digital_silence_is_degenerate(fraction, order):
     x[int(x.size * (1 - fraction)):] = 0.0
     with pytest.raises(DegenerateSegmentError, match="zero fluctuation"):
         fluctuation_function(compute_profile(x), MfdfaConfig(detrend_order=order))
+
+
+@pytest.mark.parametrize(
+    "zeros, expected",
+    [(slice(None, 819), (16, 1, "forward")), (slice(-24, None), (16, 1, "backward"))],
+    ids=["leading", "trailing"],
+)
+def test_silence_report_names_first_segment_in_scale_then_segment_order(zeros, expected):
+    # 8191 = 511 * 16 + 15: 24 trailing zeros silence the last backward
+    # segment at s = 16 but no forward one, and both directions at s = 21;
+    # 819 leading zeros silence segments of both directions at many scales
+    x = gen_cascade_noise(8191, 0.7, 3).samples.copy()
+    x[zeros] = 0.0
+    with pytest.raises(DegenerateSegmentError) as err:
+        fluctuation_function(compute_profile(x))
+    assert (err.value.scale, err.value.segment, err.value.direction) == expected
 
 
 def test_oracles_and_near_silence_are_not_degenerate():
@@ -226,6 +243,21 @@ def _lstsq_msq(segments, order):
     return np.mean(resid * resid, axis=0)
 
 
+def _lse_q_means(fluctuations, q_grid):
+    """Reference F_q of one scale: log-sum-exp shifted by each row's maximum."""
+    logs = np.log(np.asarray(fluctuations, dtype=float))
+    q = np.asarray(q_grid, dtype=float)
+    out = np.empty(q.size)
+    near_zero = np.abs(q) <= MfdfaConfig.q_zero_epsilon
+    out[near_zero] = math.exp(0.5 * logs.mean())
+    rest = ~near_zero
+    z = 0.5 * np.outer(q[rest], logs)
+    zmax = z.max(axis=1)
+    lse = zmax + np.log(np.exp(z - zmax[:, np.newaxis]).sum(axis=1))
+    out[rest] = np.exp((lse - math.log(logs.size)) / q[rest])
+    return out
+
+
 def _segments(y, s):
     """Forward then backward segments, in fluctuation_function's order."""
     n = y.size // s
@@ -248,9 +280,29 @@ def test_fluctuation_matches_lstsq_reference(reference_signals, order):
         surface = fluctuation_function(profile, config)
         for j, s in enumerate(surface.scale_grid):
             msq = _lstsq_msq(_segments(profile.values, int(s)), order)
-            expected = q_order_means(msq, config.q_grid)
+            expected = _lse_q_means(msq, config.q_grid)
             np.testing.assert_allclose(
                 surface.values[:, j], expected, rtol=1e-9, atol=0, err_msg=f"{name} s={s}"
+            )
+
+
+@pytest.mark.parametrize(
+    "q_grid",
+    [None, build_q_grid(-5.0, 5.0, 0.05), [-200.0, -50.0, -5.0, 0.0, 2.0, 5.0, 50.0, 200.0]],
+    ids=["default", "201-q", "extreme"],
+)
+def test_q_moments_match_lse_reference(reference_signals, q_grid):
+    # all scales share one sign-anchored pass; the reference takes each
+    # scale's F^2 on its own
+    config = MfdfaConfig(q_grid=q_grid)
+    for name, x in reference_signals.items():
+        profile = compute_profile(x)
+        surface = fluctuation_function(profile, config)
+        for j, s in enumerate(surface.scale_grid):
+            expected = _lse_q_means(_scale_fluctuations(profile.values, int(s), config), config.q_grid)
+            assert np.all(np.isfinite(expected))
+            np.testing.assert_allclose(
+                surface.values[:, j], expected, rtol=1e-12, atol=0, err_msg=f"{name} s={s}"
             )
 
 
