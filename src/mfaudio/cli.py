@@ -15,7 +15,8 @@ separator, fixed column order):
 plus a manifest) so the whole pipeline runs with zero external data.
 
 Exit status: 0 on full success, 1 if any rendition errored, 2 for an
-invalid manifest or arguments.  Errors go to stderr.
+invalid manifest or arguments, 3 for an internal error (an exception the
+program does not expect, reported as one line).  Errors go to stderr.
 """
 
 from __future__ import annotations
@@ -58,10 +59,13 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
+    The records are analyzed one after another, and one pool of
+    ``min(jobs, os.cpu_count())`` worker threads decodes each and maps its
+    windows; outcomes do not depend on ``jobs``.
     """
     _check_jobs(jobs)
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        outcomes = list(pool.map(_safe_analyze, manifest.records))
+    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+        outcomes = [_safe_analyze(record, pool) for record in manifest.records]
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
 
@@ -71,9 +75,9 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
 
-def _safe_analyze(record):
+def _safe_analyze(record, pool):
     try:
-        return analyze_rendition(record)
+        return analyze_rendition(record, pool=pool)
     except MfaudioError as err:
         return err
 
@@ -287,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="analyze a corpus manifest and emit CSV tables")
     run_p.add_argument("--manifest", required=True, help="path to the corpus manifest (JSON)")
     run_p.add_argument("--out", default=None, help="output directory (default: manifest output_dir, $MFAUDIO_OUT, or ./mfaudio-out)")
-    run_p.add_argument("--jobs", type=int, default=1, help="parallel renditions, >= 1 (outputs are identical for any value)")
+    run_p.add_argument("--jobs", type=int, default=1, help="worker threads over windows, >= 1, capped at the CPU count (outputs are identical for any value)")
     run_p.add_argument("--dry-run", action="store_true", help="validate the manifest and exit")
     run_p.add_argument("--q-min", type=float, default=None)
     run_p.add_argument("--q-max", type=float, default=None)
@@ -319,6 +323,9 @@ def main(argv=None) -> int:
     except (MfaudioError, OSError) as err:  # e.g. a synth --out under a regular file
         print(f"{args.command} error: {err}", file=sys.stderr)
         return 2
+    except Exception as err:  # a defect, kept apart from a failed rendition (1)
+        print(f"{args.command} internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -1,18 +1,22 @@
 """Corpus study protocol: per-window MFDFA, per-part width averaging, and
 per-generation aggregation.
 
-A recording is split by its :class:`WindowPlan` into parts, each part
-into windows; every window gets a full MFDFA pass.  Windows whose
-analysis degenerates (digital silence, a non-concave spectrum) are
-flagged with the reason and excluded from part means instead of
-poisoning them; a part whose every window is flagged is reported as
-errored.  All means are plain arithmetic means of their listed
-constituents.
+A recording is decoded and split by its :class:`WindowPlan` into parts,
+each part into windows; every window gets a full MFDFA pass in
+``_analyze_window``, a pure function of the window and its config, so
+the windows of one recording can be mapped across a worker pool.  The
+results are reduced in window order after the map, which keeps every
+mean bit-identical for any pool size.  Windows whose analysis
+degenerates (digital silence, a non-concave spectrum) are flagged with
+the reason and excluded from part means instead of poisoning them; a
+part whose every window is flagged is reported as errored.  All means
+are plain arithmetic means of their listed constituents.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Executor, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -160,55 +164,89 @@ class CrossGenerationTable:
     mean_widths: np.ndarray  # shape (len(generation_indices), part_count)
 
 
-def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> RenditionReport:
+def analyze_rendition(
+    record: RenditionRecord, signal: Signal | None = None, pool: Executor | None = None
+) -> RenditionReport:
     """Run MFDFA over every window of every part of one recording.
 
     ``signal`` skips the decode step when the audio is already in memory.
-    Audio and plan errors propagate with the rendition identified.
+    With ``pool`` the decode and partition run on one of its workers and
+    every window is submitted to it; without it everything runs in order
+    on the calling thread.  The report does not depend on ``pool``:
+    results are taken back in window order and the mean h(q) and r^2 are
+    summed in that order.  Audio and plan errors propagate with the rendition
+    identified, window errors with the rendition, part and window.
     """
     try:
-        if signal is None:
-            signal = decode_wav(record.audio_path)
-        part_signals = partition_windows(signal, record.plan)
+        # on a pool worker: decoding on the calling thread raised the peak
+        # RSS of `mfaudio run` by 5-6 MiB
+        part_signals = (_decode_and_partition(record, signal) if pool is None
+                        else pool.submit(_decode_and_partition, record, signal).result())
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
+
+    windows = [(window, w_idx) for part in part_signals
+               for w_idx, window in enumerate(part, start=1)]
+    if pool is None:
+        analyzed = (_analyze_window(window, record.config, w_idx) for window, w_idx in windows)
+    else:
+        futures = [pool.submit(_analyze_window, window, record.config, w_idx)
+                   for window, w_idx in windows]
+        # one wake-up per rendition: waking this thread for every window
+        # cost 3-5% of the analysis time at --jobs 1 on many small windows
+        wait(futures)
+        analyzed = (future.result() for future in futures)
 
     parts: list[PartResult] = []
     h_sum = r2_sum = None
     h_count = 0
-    for p_idx, windows in enumerate(part_signals, start=1):
+    for p_idx, part in enumerate(part_signals, start=1):
         results: list[WindowResult] = []
-        for w_idx, window in enumerate(windows, start=1):
+        for w_idx in range(1, len(part) + 1):
             try:
-                res = mfdfa(window, record.config)
-            except _WINDOW_FLAG_ERRORS as err:
-                results.append(
-                    WindowResult(
-                        w_idx, len(window), math.nan, math.nan, math.nan,
-                        math.nan, math.nan, flagged=True, flag_reason=str(err),
-                    )
-                )
-                continue
+                result, curve = next(analyzed)
             except MfaudioError as err:
                 raise err.add_context(
                     f"rendition {record.rendition_id} part {p_idx} window {w_idx}"
                 )
-            h2, r2 = res.hurst.at(2.0)
-            results.append(
-                WindowResult(
-                    w_idx, len(window), res.width.width, res.width.alpha0,
-                    res.width.asymmetry, h2, r2,
-                )
-            )
-            h_sum = res.hurst.h.copy() if h_sum is None else h_sum + res.hurst.h
-            r2_sum = res.hurst.r_squared.copy() if r2_sum is None else r2_sum + res.hurst.r_squared
-            h_count += 1
+            results.append(result)
+            if curve is not None:
+                h_sum = curve.h.copy() if h_sum is None else h_sum + curve.h
+                r2_sum = curve.r_squared.copy() if r2_sum is None else r2_sum + curve.r_squared
+                h_count += 1
         parts.append(PartResult(p_idx, tuple(results)))
 
     mean_hurst = None
     if h_count:
         mean_hurst = HurstCurve(record.config.q_grid, h_sum / h_count, r2_sum / h_count)
     return RenditionReport(record, tuple(parts), mean_hurst)
+
+
+def _decode_and_partition(record: RenditionRecord, signal: Signal | None) -> list[list[Signal]]:
+    """The record's windows by part, decoding its audio unless ``signal`` is given."""
+    if signal is None:
+        signal = decode_wav(record.audio_path)
+    return partition_windows(signal, record.plan)
+
+
+def _analyze_window(
+    window: Signal, config: MfdfaConfig, window_index: int
+) -> tuple[WindowResult, HurstCurve | None]:
+    """One window's diagnostics and h(q) curve; a flagged window has no curve."""
+    try:
+        res = mfdfa(window, config)
+    except _WINDOW_FLAG_ERRORS as err:
+        flagged = WindowResult(
+            window_index, len(window), math.nan, math.nan, math.nan,
+            math.nan, math.nan, flagged=True, flag_reason=str(err),
+        )
+        return flagged, None
+    h2, r2 = res.hurst.at(2.0)
+    result = WindowResult(
+        window_index, len(window), res.width.width, res.width.alpha0,
+        res.width.asymmetry, h2, r2,
+    )
+    return result, res.hurst
 
 
 def aggregate_generation(reports, song_id: str) -> list[GenerationAggregate]:

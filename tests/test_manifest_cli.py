@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +15,7 @@ from mfaudio import (
     validate_manifest,
     write_wav,
 )
+from mfaudio import cli, pipeline
 from mfaudio.cli import main
 from mfaudio.manifest import build_q_grid, parse_scale_rule
 
@@ -365,6 +369,57 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
     assert code == 2
     assert "run error: jobs must be >= 1" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
+    requested = []
+
+    def recording_pool(max_workers):
+        requested.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
+                 "--jobs", "100000"])
+    assert code == 0
+    assert requested == [min(100000, os.cpu_count() or 1)]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker threads")
+def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
+    # the first two windows wait for each other: a pool that runs one
+    # rendition's windows in turn breaks the barrier after its timeout
+    barrier = threading.Barrier(2, timeout=10)
+    lock = threading.Lock()
+    calls = []
+    real_mfdfa = pipeline.mfdfa
+
+    def meeting_mfdfa(window, config):
+        with lock:
+            calls.append(window)
+            first_two = len(calls) <= 2
+        if first_two:
+            barrier.wait()
+        return real_mfdfa(window, config)
+
+    monkeypatch.setattr(pipeline, "mfdfa", meeting_mfdfa)
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert code == 0
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatch, jobs):
+    def broken_mfdfa(window, config):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pipeline, "mfdfa", broken_mfdfa)
+    path, _ = write_corpus(tmp_path, n_entries=2)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert code == 3
+    assert capsys.readouterr().err == "run internal error: RuntimeError: boom\n"
 
 
 def test_plot_data_matches_cross_generation_table(tmp_path):

@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -22,6 +23,8 @@ from mfaudio import (
     gen_fgn_prefix,
     write_wav,
 )
+from mfaudio import pipeline
+from mfaudio.errors import NonFiniteDataError
 
 
 def make_record(tmp_path, signal, name="take.wav", **kwargs):
@@ -85,8 +88,10 @@ def test_analyze_rendition_accepts_in_memory_signal(tmp_path):
 def test_analyze_rendition_is_deterministic(tmp_path):
     sig = gen_cascade_noise(24 * 4000, 0.68, 3, 4000.0)
     record = make_record(tmp_path, sig)
-    a = analyze_rendition(record)
-    b = analyze_rendition(record)
+    assert_same_report(analyze_rendition(record), analyze_rendition(record))
+
+
+def assert_same_report(a, b):
     assert [p.part_index for p in a.parts] == [p.part_index for p in b.parts]
     for pa, pb in zip(a.parts, b.parts):
         assert len(pa.windows) == len(pb.windows)
@@ -97,6 +102,43 @@ def test_analyze_rendition_is_deterministic(tmp_path):
                 assert x == y or (x != x and y != y), f.name
     assert np.array_equal(a.mean_hurst.q_grid, b.mean_hurst.q_grid)
     assert np.array_equal(a.mean_hurst.h, b.mean_hurst.h)
+    assert np.array_equal(a.mean_hurst.r_squared, b.mean_hurst.r_squared)
+
+
+def test_pool_changes_no_bits(tmp_path):
+    samples = gen_cascade_noise(24 * 4000, 0.7, 4, 4000.0).samples.copy()
+    samples[12 * 4000 : 18 * 4000] = 0.0  # part 2, window 1
+    record = make_record(tmp_path, Signal(samples, 4000.0))
+    serial = analyze_rendition(record)
+    assert [w.flagged for p in serial.parts for w in p.windows] == [False, False, True, False]
+    with ThreadPoolExecutor(3) as pool:
+        pooled = analyze_rendition(record, pool=pool)
+    assert_same_report(serial, pooled)
+
+
+@pytest.mark.parametrize("pooled", [False, True])
+def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch, pooled):
+    sig = gen_cascade_noise(36 * 4000, 0.7, 5, 4000.0)
+    record = make_record(
+        tmp_path, sig,
+        plan=WindowPlan(clip_length=36.0, part_count=2, part_length=18.0, window_length=6.0),
+    )
+    target = pipeline.partition_windows(pipeline.decode_wav(record.audio_path), record.plan)[1][2]
+    real_mfdfa = pipeline.mfdfa
+
+    def failing_mfdfa(window, config):
+        if np.array_equal(window.samples, target.samples):
+            raise NonFiniteDataError("injected")
+        return real_mfdfa(window, config)
+
+    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    with pytest.raises(NonFiniteDataError) as err:
+        if pooled:
+            with ThreadPoolExecutor(2) as pool:
+                analyze_rendition(record, pool=pool)
+        else:
+            analyze_rendition(record)
+    assert str(err.value) == "rendition song-a-artist-a-1950 part 2 window 3: injected"
 
 
 def test_digital_silence_flags_every_window(tmp_path):
