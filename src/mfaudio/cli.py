@@ -11,23 +11,30 @@ separator, fixed column order):
 - ``plot_<song>.csv``   long-format plot data per song
 - ``plot_all_songs.csv``  the same across every song
 
+``mfaudio run --jobs N`` with N above 1 maps the windows of each
+rendition over a pool of forked worker processes (capped at the CPU
+count); the outputs are identical for any N.
+
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
 
 Exit status: 0 on full success, 1 if any rendition errored, 2 for an
 invalid manifest or arguments, 3 for an internal error (an exception the
-program does not expect, reported as one line).  Errors go to stderr.
+program does not expect, a worker process that died included, reported
+as one line).  Errors go to stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
+import multiprocessing
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -59,12 +66,19 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
-    The records are analyzed one after another, and one pool of
-    ``min(jobs, os.cpu_count())`` worker threads decodes each and maps its
-    windows; outcomes do not depend on ``jobs``.
+    The records are analyzed one after another, each decoded in this
+    process.  With ``min(jobs, os.cpu_count())`` above 1, one pool of that
+    many forked worker processes maps the windows of each record; else
+    everything runs in this process.  Outcomes do not depend on ``jobs``.
     """
     _check_jobs(jobs)
-    with ThreadPoolExecutor(max_workers=min(jobs, os.cpu_count() or 1)) as pool:
+    workers = min(jobs, os.cpu_count() or 1)
+    # threads serialise on the interpreter lock over a window's small numpy
+    # calls.  Forked workers inherit the imported modules, which spawned
+    # ones would import again; the pool forks them all at its first submit,
+    # before it starts a thread of its own.
+    with (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+          if workers > 1 else contextlib.nullcontext()) as pool:
         outcomes = [_safe_analyze(record, pool) for record in manifest.records]
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
@@ -291,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="analyze a corpus manifest and emit CSV tables")
     run_p.add_argument("--manifest", required=True, help="path to the corpus manifest (JSON)")
     run_p.add_argument("--out", default=None, help="output directory (default: manifest output_dir, $MFAUDIO_OUT, or ./mfaudio-out)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker threads over windows, >= 1, capped at the CPU count (outputs are identical for any value)")
+    run_p.add_argument("--jobs", type=int, default=1, help="worker processes over windows, >= 1, capped at the CPU count; 1 runs in one process (outputs are identical for any value)")
     run_p.add_argument("--dry-run", action="store_true", help="validate the manifest and exit")
     run_p.add_argument("--q-min", type=float, default=None)
     run_p.add_argument("--q-max", type=float, default=None)

@@ -8,6 +8,7 @@ the labels are prepended to the message.
 
 from __future__ import annotations
 
+import copyreg
 import numbers
 
 
@@ -28,6 +29,12 @@ class MfaudioError(Exception):
         if self.context:
             return ": ".join(self.context) + ": " + base
         return base
+
+    def __reduce__(self):
+        # rebuilt from ``args`` and the attributes without calling __init__,
+        # whose signature differs per subclass, so an error raised in a
+        # worker process reaches the parent intact
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class WavFormatError(MfaudioError):

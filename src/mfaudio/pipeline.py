@@ -4,9 +4,10 @@ per-generation aggregation.
 A recording is decoded and split by its :class:`WindowPlan` into parts,
 each part into windows; every window gets a full MFDFA pass in
 ``_analyze_window``, a pure function of the window and its config, so
-the windows of one recording can be mapped across a worker pool.  The
-results are reduced in window order after the map, which keeps every
-mean bit-identical for any pool size.  Windows whose analysis
+the windows of one recording can be mapped across a pool of worker
+processes in contiguous chunks, each window's error coming back as a
+value.  The results are reduced in window order after the map, which
+keeps every mean bit-identical for any pool size.  Windows whose analysis
 degenerates (digital silence, a non-concave spectrum) are flagged with
 the reason and excluded from part means instead of poisoning them; a
 part whose every window is flagged is reported as errored.  All means
@@ -16,7 +17,7 @@ are plain arithmetic means of their listed constituents.
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor, wait
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -40,6 +41,13 @@ _WINDOW_FLAG_ERRORS = (
     NonConcaveSpectrumError,
     InsufficientSpectrumError,
 )
+
+# Windows go to a pool in contiguous chunks of about this many samples
+# (six chunks of 30 one-second windows for a 180 s clip at 8 kHz): a task
+# per window pays inter-process traffic per window, and chunks sized by
+# samples, not by part, still split a one-part clip across the workers.
+# On two cores 2**16 to 2**18 timed alike; 2**19 loaded the workers unevenly.
+_CHUNK_SAMPLES = 2**18
 
 
 def _slug(text: str) -> str:
@@ -170,32 +178,31 @@ def analyze_rendition(
     """Run MFDFA over every window of every part of one recording.
 
     ``signal`` skips the decode step when the audio is already in memory.
-    With ``pool`` the decode and partition run on one of its workers and
-    every window is submitted to it; without it everything runs in order
-    on the calling thread.  The report does not depend on ``pool``:
-    results are taken back in window order and the mean h(q) and r^2 are
-    summed in that order.  Audio and plan errors propagate with the rendition
+    The decode and partition run in the calling process.  With ``pool``
+    the windows go to its workers in contiguous chunks of about
+    ``_CHUNK_SAMPLES`` samples; without it they run in order in the
+    calling process.  The report does not depend on ``pool``: results are
+    taken back in window order and the mean h(q) and r^2 are summed in
+    that order.  Audio and plan errors propagate with the rendition
     identified, window errors with the rendition, part and window.
     """
     try:
-        # on a pool worker: decoding on the calling thread raised the peak
-        # RSS of `mfaudio run` by 5-6 MiB
-        part_signals = (_decode_and_partition(record, signal) if pool is None
-                        else pool.submit(_decode_and_partition, record, signal).result())
+        if signal is None:
+            signal = decode_wav(record.audio_path)
+        part_signals = partition_windows(signal, record.plan)
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
 
     windows = [(window, w_idx) for part in part_signals
                for w_idx, window in enumerate(part, start=1)]
     if pool is None:
-        analyzed = (_analyze_window(window, record.config, w_idx) for window, w_idx in windows)
+        analyzed = iter(_analyze_windows(windows, record.config))
     else:
-        futures = [pool.submit(_analyze_window, window, record.config, w_idx)
-                   for window, w_idx in windows]
-        # one wake-up per rendition: waking this thread for every window
-        # cost 3-5% of the analysis time at --jobs 1 on many small windows
-        wait(futures)
-        analyzed = (future.result() for future in futures)
+        futures = [pool.submit(_analyze_windows, chunk, record.config)
+                   for chunk in _chunks(windows)]
+        # read in window order, so the first error reported is the one the
+        # serial path would raise
+        analyzed = (outcome for future in futures for outcome in future.result())
 
     parts: list[PartResult] = []
     h_sum = r2_sum = None
@@ -203,12 +210,12 @@ def analyze_rendition(
     for p_idx, part in enumerate(part_signals, start=1):
         results: list[WindowResult] = []
         for w_idx in range(1, len(part) + 1):
-            try:
-                result, curve = next(analyzed)
-            except MfaudioError as err:
-                raise err.add_context(
+            outcome = next(analyzed)
+            if isinstance(outcome, MfaudioError):
+                raise outcome.add_context(
                     f"rendition {record.rendition_id} part {p_idx} window {w_idx}"
                 )
+            result, curve = outcome
             results.append(result)
             if curve is not None:
                 h_sum = curve.h.copy() if h_sum is None else h_sum + curve.h
@@ -222,11 +229,30 @@ def analyze_rendition(
     return RenditionReport(record, tuple(parts), mean_hurst)
 
 
-def _decode_and_partition(record: RenditionRecord, signal: Signal | None) -> list[list[Signal]]:
-    """The record's windows by part, decoding its audio unless ``signal`` is given."""
-    if signal is None:
-        signal = decode_wav(record.audio_path)
-    return partition_windows(signal, record.plan)
+def _chunks(windows: list[tuple[Signal, int]]) -> list[list[tuple[Signal, int]]]:
+    """``windows`` cut into contiguous runs of near-equal length, each of
+    about ``_CHUNK_SAMPLES`` samples."""
+    n = len(windows)
+    count = min(n, math.ceil(sum(len(window) for window, _ in windows) / _CHUNK_SAMPLES))
+    return [windows[i * n // count:(i + 1) * n // count] for i in range(count)]
+
+
+def _analyze_windows(
+    windows: list[tuple[Signal, int]], config: MfdfaConfig
+) -> list[tuple[WindowResult, HurstCurve | None] | MfaudioError]:
+    """``_analyze_window`` over (window, window index) pairs, in order.
+
+    A window's ``MfaudioError`` is returned in its place, not raised, so
+    the caller can name the window; the windows after it are skipped.
+    """
+    outcomes: list = []
+    for window, w_idx in windows:
+        try:
+            outcomes.append(_analyze_window(window, config, w_idx))
+        except MfaudioError as err:
+            outcomes.append(err)
+            break
+    return outcomes
 
 
 def _analyze_window(

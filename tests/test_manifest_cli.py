@@ -1,8 +1,8 @@
 import csv
 import json
+import multiprocessing
 import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +10,7 @@ import pytest
 
 from mfaudio import (
     ManifestError,
+    NonFiniteDataError,
     Signal,
     gen_cascade_noise,
     validate_manifest,
@@ -374,40 +375,87 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
 def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     requested = []
 
-    def recording_pool(max_workers):
-        requested.append(max_workers)
-        return ThreadPoolExecutor(max_workers=1)
+    def recording_pool(max_workers, mp_context):
+        requested.append((max_workers, mp_context.get_start_method()))
+        return ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
     path, _ = write_corpus(tmp_path, n_entries=1)
-    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
-                 "--jobs", "100000"])
-    assert code == 0
-    assert requested == [min(100000, os.cpu_count() or 1)]
+    for jobs in (1, 100000):
+        code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
+                     "--jobs", str(jobs)])
+        assert code == 0
+    cpus = os.cpu_count() or 1
+    # --jobs 1 runs in this process and builds no pool
+    assert requested == ([(cpus, "fork")] if cpus > 1 else [])
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker threads")
+needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two workers")
+
+
+@needs_two_cpus
 def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
-    # the first two windows wait for each other: a pool that runs one
-    # rendition's windows in turn breaks the barrier after its timeout
-    barrier = threading.Barrier(2, timeout=10)
-    lock = threading.Lock()
-    calls = []
+    # the first window of each worker process waits for the other's: a pool
+    # that runs one rendition's windows in turn breaks the barrier after its
+    # timeout.  72 s at 4 kHz in one part is 12 windows of 24,000 samples,
+    # more than one chunk.
+    assert 72 * 4000 > pipeline._CHUNK_SAMPLES
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
+    waited = []  # each forked worker has its own copy
     real_mfdfa = pipeline.mfdfa
 
     def meeting_mfdfa(window, config):
-        with lock:
-            calls.append(window)
-            first_two = len(calls) <= 2
-        if first_two:
+        if not waited:
+            waited.append(True)
             barrier.wait()
         return real_mfdfa(window, config)
 
     monkeypatch.setattr(pipeline, "mfdfa", meeting_mfdfa)
-    path, _ = write_corpus(tmp_path, n_entries=1)
-    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
+    out = tmp_path / "out"
+    code = main(["run", "--manifest", str(path), "--out", str(out), "--parts", "1",
+                 "--jobs", "2"])
     assert code == 0
-    assert len(calls) == 4
+    assert waited == []  # no window ran in this process
+    rows = read_csv(out / "windows.csv")[1:]
+    assert [(row[4], row[5]) for row in rows] == [("1", str(w)) for w in range(1, 13)]
+    assert all(row[12] == "false" for row in rows)
+
+
+@needs_two_cpus
+def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypatch):
+    # 3 parts of 4 windows; the second chunk starts at window 3 of part 2
+    path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
+    record = validate_manifest(path, {"part_count": 3, "part_length": None}).records[0]
+    target = pipeline.partition_windows(pipeline.decode_wav(record.audio_path), record.plan)[1][3]
+    real_mfdfa = pipeline.mfdfa
+
+    def failing_mfdfa(window, config):
+        if np.array_equal(window.samples, target.samples):
+            raise NonFiniteDataError("injected")
+        return real_mfdfa(window, config)
+
+    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
+                 "--parts", "3", "--jobs", "2"])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        "error: rendition song-x-artist-0-1950 part 2 window 4: injected\n"
+    )
+
+
+@needs_two_cpus
+def test_dead_worker_exits_3_with_one_line(tmp_path, capfd, monkeypatch):
+    def dying_mfdfa(window, config):
+        os._exit(1)
+
+    monkeypatch.setattr(pipeline, "mfdfa", dying_mfdfa)
+    path, _ = write_corpus(tmp_path, n_entries=2)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert code == 3
+    err = capfd.readouterr().err
+    assert err.startswith("run internal error: BrokenProcessPool: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
