@@ -1,7 +1,9 @@
 import csv
 import json
+import math
 import multiprocessing
 import os
+import struct
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -517,6 +519,20 @@ def test_silent_rendition_errors_with_identifier(tmp_path, capsys):
     # the healthy rendition still produced rows
     widths = read_csv(out / "widths.csv")
     assert len(widths) == 1 + 4
+
+
+def test_nan_in_a_wav_fails_its_rendition_with_one_line(tmp_path, capsys):
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    wav = tmp_path / "take0.wav"
+    image = bytearray(wav.read_bytes())
+    struct.pack_into("<f", image, 44 + 4 * 1000, math.nan)  # past the 44-byte header
+    wav.write_bytes(bytes(image))
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: rendition song-x-artist-0-1950: {wav}: ")
+    assert "Traceback" not in err
 
 
 def test_short_audio_errors_with_identifier(tmp_path, capsys):

@@ -11,6 +11,7 @@ from mfaudio import (
     ConfigError,
     EmptySignalError,
     InsufficientAudioError,
+    NonFiniteDataError,
     Signal,
     UnsupportedCodecError,
     WavFormatError,
@@ -206,6 +207,40 @@ def test_zero_frames_raise_empty_signal(tmp_path):
     path = tmp_path / "empty.wav"
     path.write_bytes(make_wav(b""))
     with pytest.raises(EmptySignalError):
+        decode_wav(path)
+
+
+def test_declared_data_size_past_eof_is_cut_at_eof(tmp_path):
+    image = bytearray(make_wav(struct.pack("<3h", 1, 2, 3)))
+    data_size_at = image.index(b"data") + 4
+    struct.pack_into("<I", image, data_size_at, 1_000_000)
+    path = tmp_path / "long.wav"
+    path.write_bytes(bytes(image))
+    assert np.array_equal(decode_wav(path).samples, np.array([1, 2, 3]) / 32768.0)
+
+
+def test_trailing_partial_frame_is_dropped(tmp_path):
+    # 16-bit stereo: five samples are two frames and half of a third
+    path = tmp_path / "partial.wav"
+    path.write_bytes(make_wav(struct.pack("<5h", 100, 300, -200, 0, 7), channels=2))
+    assert np.array_equal(decode_wav(path).samples, np.array([200.0, -100.0]) / 32768.0)
+    # 16-bit mono with an odd byte count
+    path.write_bytes(make_wav(struct.pack("<3h", 4, 5, 6) + b"\x01"))
+    assert np.array_equal(decode_wav(path).samples, np.array([4, 5, 6]) / 32768.0)
+
+
+def test_last_data_chunk_wins(tmp_path):
+    early = struct.pack("<2h", 1, 2)
+    early_chunk = b"data" + struct.pack("<I", len(early)) + early
+    path = tmp_path / "twodata.wav"
+    path.write_bytes(make_wav(struct.pack("<3h", 3, 4, 5), extra_chunks=early_chunk))
+    assert np.array_equal(decode_wav(path).samples, np.array([3, 4, 5]) / 32768.0)
+
+
+def test_nan_in_float_wav_names_the_path(tmp_path):
+    path = tmp_path / "nan.wav"
+    path.write_bytes(make_wav(struct.pack("<3f", 0.25, math.nan, 0.5), bits=32, tag=3))
+    with pytest.raises(NonFiniteDataError, match="nan.wav"):
         decode_wav(path)
 
 
