@@ -35,6 +35,9 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # in decimal (e.g. 180 * 22050) cannot land one sample short in binary.
 _FLOOR_GUARD = 1e-6
 
+# decode_wav reads blocks of this many samples (1 MiB as float64), not the file
+_DECODE_BLOCK_SAMPLES = 2**17
+
 
 @dataclass(frozen=True, eq=False)
 class Signal:
@@ -116,58 +119,71 @@ class WindowPlan:
 def decode_wav(path: str | Path) -> Signal:
     """Decode a PCM WAV file into a mono, [-1, 1]-normalized Signal.
 
-    Multichannel input is mixed down by per-frame channel average.  The
-    sample rate comes from the ``fmt `` chunk; chunks other than ``fmt ``
-    and ``data`` are skipped.
+    Chunk headers are walked by seeks; the rate comes from ``fmt `` and the
+    samples from the last ``data`` chunk, cut at EOF and to whole frames.
+    They are read in blocks of ``_DECODE_BLOCK_SAMPLES``, each converted,
+    and mixed down by per-frame channel average, into its slice of the result.
 
     Raises WavFormatError for a missing or corrupt container,
-    UnsupportedCodecError for compressed codecs, and EmptySignalError for
-    a data chunk with zero frames.
+    UnsupportedCodecError for compressed codecs, EmptySignalError for a
+    data chunk with zero frames, and NonFiniteDataError, naming the path,
+    for a NaN or infinite float sample.
     """
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[0:4] != b"RIFF" or data[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+    with open(path, "rb") as handle:
+        header = handle.read(12)
+        if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
+            raise WavFormatError(f"{path}: not a RIFF/WAVE file")
+        end = Path(path).stat().st_size
+        fmt = data_at = None
+        pos = 12
+        while pos + 8 <= end:
+            handle.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", handle.read(8))
+            body_size = min(chunk_size, end - pos - 8)
+            if chunk_id == b"fmt ":
+                fmt = _parse_fmt(handle.read(body_size), path)
+            elif chunk_id == b"data":
+                data_at, data_size = pos + 8, body_size
+            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
-    fmt = None
-    payload = None
-    pos = 12
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
-        if chunk_id == b"fmt ":
-            fmt = _parse_fmt(body, path)
-        elif chunk_id == b"data":
-            payload = body
-        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+        if fmt is None:
+            raise WavFormatError(f"{path}: missing 'fmt ' chunk")
+        if data_at is None:
+            raise WavFormatError(f"{path}: missing 'data' chunk")
 
-    if fmt is None:
-        raise WavFormatError(f"{path}: missing 'fmt ' chunk")
-    if payload is None:
-        raise WavFormatError(f"{path}: missing 'data' chunk")
+        tag, channels, rate, bits = fmt
+        if tag == _WAVE_FORMAT_PCM:
+            if bits not in (8, 16, 24, 32):
+                raise UnsupportedCodecError(f"{path}: {bits}-bit integer PCM is not supported")
+        elif tag == _WAVE_FORMAT_IEEE_FLOAT:
+            if bits != 32:
+                raise UnsupportedCodecError(f"{path}: {bits}-bit float PCM is not supported")
+        else:
+            raise UnsupportedCodecError(
+                f"{path}: compressed or unknown codec (format tag 0x{tag:04x})"
+            )
 
-    tag, channels, rate, bits = fmt
-    if tag == _WAVE_FORMAT_PCM:
-        if bits not in (8, 16, 24, 32):
-            raise UnsupportedCodecError(f"{path}: {bits}-bit integer PCM is not supported")
-    elif tag == _WAVE_FORMAT_IEEE_FLOAT:
-        if bits != 32:
-            raise UnsupportedCodecError(f"{path}: {bits}-bit float PCM is not supported")
-    else:
-        raise UnsupportedCodecError(
-            f"{path}: compressed or unknown codec (format tag 0x{tag:04x})"
-        )
+        frame_size = channels * (bits // 8)
+        n_frames = data_size // frame_size
+        if n_frames == 0:
+            raise EmptySignalError(f"{path}: WAV holds zero frames")
 
-    frame_size = channels * (bits // 8)
-    n_frames = len(payload) // frame_size
-    if n_frames == 0:
-        raise EmptySignalError(f"{path}: WAV holds zero frames")
-
-    flat = _decode_samples(payload[: n_frames * frame_size], tag, bits)
-    mono = flat.reshape(n_frames, channels).mean(axis=1)
-    if not np.all(np.isfinite(mono)):
-        raise NonFiniteDataError(f"{path}: decoded samples are not finite")
-    return Signal(mono, float(rate))
+        mono = np.empty(n_frames)
+        block_frames = max(1, _DECODE_BLOCK_SAMPLES // channels)
+        frames = np.empty((min(block_frames, n_frames), channels)) if channels > 1 else None
+        handle.seek(data_at)
+        for start in range(0, n_frames, block_frames):
+            stop = min(start + block_frames, n_frames)
+            raw = handle.read((stop - start) * frame_size)
+            if frames is None:
+                _decode_into(raw, tag, bits, mono[start:stop])
+            else:
+                _decode_into(raw, tag, bits, frames[: stop - start].reshape(-1))
+                frames[: stop - start].mean(axis=1, out=mono[start:stop])
+    try:
+        return Signal(mono, float(rate))
+    except NonFiniteDataError as err:
+        raise err.add_context(str(path))
 
 
 def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -188,35 +204,34 @@ def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
     return tag, channels, rate, bits
 
 
-def _decode_samples(payload: bytes, tag: int, bits: int) -> np.ndarray:
+def _decode_into(raw: bytes, tag: int, bits: int, out: np.ndarray) -> None:
+    """Normalize the little-endian samples in ``raw`` into the float64 ``out``."""
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
-        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    if bits == 8:
-        raw = np.frombuffer(payload, dtype=np.uint8).astype(np.float64)
-        return (raw - 128.0) / 128.0
-    if bits == 16:
-        return np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    if bits == 24:
-        raw = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
-        val = raw[:, 0] | (raw[:, 1] << 8) | (raw[:, 2] << 16)
-        val -= (val & 0x800000) << 1  # sign extension
-        return val.astype(np.float64) / 8388608.0
-    return np.frombuffer(payload, dtype="<i4").astype(np.float64) / 2147483648.0
+        out[:] = np.frombuffer(raw, dtype="<f4")
+        return
+    if bits == 8:  # unsigned, centred on 128
+        ints = np.frombuffer(raw, dtype=np.uint8) - np.int16(128)
+    elif bits == 24:
+        raw24 = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
+        ints = raw24[:, 0] | (raw24[:, 1] << 8) | (raw24[:, 2] << 16)
+        ints -= (ints & 0x800000) << 1  # sign extension
+    else:
+        ints = np.frombuffer(raw, dtype=f"<i{bits // 8}")
+    np.divide(ints, 2.0 ** (bits - 1), out=out)
 
 
 def write_wav(path: str | Path, signal: Signal, encoding: str = "float32") -> None:
-    """Write a mono WAV file.
+    """Write a mono WAV file: its 44-byte header, then the sample array.
 
     ``float32`` stores IEEE-float PCM (decode_wav round-trips it up to
     float32 precision); ``int16`` scales by 32767 and rounds.
     """
     if encoding == "float32":
         tag, bits = _WAVE_FORMAT_IEEE_FLOAT, 32
-        body = signal.samples.astype("<f4").tobytes()
+        body = signal.samples.astype("<f4")
     elif encoding == "int16":
         tag, bits = _WAVE_FORMAT_PCM, 16
-        scaled = np.clip(np.rint(signal.samples * 32767.0), -32768, 32767)
-        body = scaled.astype("<i2").tobytes()
+        body = np.clip(np.rint(signal.samples * 32767.0), -32768, 32767).astype("<i2")
     else:
         raise ConfigError(f"unknown WAV encoding {encoding!r}")
 
@@ -227,15 +242,11 @@ def write_wav(path: str | Path, signal: Signal, encoding: str = "float32") -> No
             f"WAV sample rate must be a whole number of Hz below {2**32 // frame}, got {rate!r}"
         )
     rate = int(rate)
-    header = struct.pack("<HHIIHH", tag, 1, rate, rate * frame, frame, bits)
-    Path(path).write_bytes(
-        _chunk(b"RIFF", b"WAVE" + _chunk(b"fmt ", header) + _chunk(b"data", body))
-    )
-
-
-def _chunk(chunk_id: bytes, body: bytes) -> bytes:
-    pad = b"\x00" if len(body) & 1 else b""
-    return chunk_id + struct.pack("<I", len(body)) + body + pad
+    with open(path, "wb") as handle:
+        # a 16-byte fmt chunk; both bodies have an even size, so nothing is padded
+        handle.write(struct.pack("<4sI4s4sIHHIIHH4sI", b"RIFF", 36 + body.nbytes, b"WAVE", b"fmt ",
+                                 16, tag, 1, rate, rate * frame, frame, bits, b"data", body.nbytes))
+        handle.write(body)
 
 
 def extract_clip(signal: Signal, start: float, length: float) -> Signal:

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,21 @@ def test_fluctuation_bytes_do_not_depend_on_blas_threads():
     ]
     assert len(outputs[0]) == 41 * 20 * 8
     assert outputs[0] == outputs[1]
+
+
+def test_fluctuation_peak_memory_on_a_paper_window():
+    # 201 q values on a 6 s window at 22.05 kHz: ~50k segments, so holding a
+    # sign's whole (q rows x segments) array of terms would take ~40 MiB
+    profile = compute_profile(gen_fgn_prefix(0.55, 132_300, 4))
+    config = MfdfaConfig(q_grid=build_q_grid(-5.0, 5.0, 0.05))
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        fluctuation_function(profile, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 # --- scaling fit ---------------------------------------------------------------

@@ -1,11 +1,13 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mfaudio import signal_io
 from mfaudio import (
     ClipBoundsError,
     ConfigError,
@@ -242,6 +244,78 @@ def test_nan_in_float_wav_names_the_path(tmp_path):
     path.write_bytes(make_wav(struct.pack("<3f", 0.25, math.nan, 0.5), bits=32, tag=3))
     with pytest.raises(NonFiniteDataError, match="nan.wav"):
         decode_wav(path)
+
+
+# (bits, format tag): integer PCM at every supported depth, and float32
+_CODECS = [(8, 1), (16, 1), (24, 1), (32, 1), (32, 3)]
+
+
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("bits, tag", _CODECS, ids=["u8", "s16", "s24", "s32", "f32"])
+def test_decode_across_block_boundaries(tmp_path, monkeypatch, bits, tag, channels):
+    # 7 samples a block: 7 frames mono, 3 stereo, so 23 frames span several
+    # blocks and end in a partial one
+    monkeypatch.setattr(signal_io, "_DECODE_BLOCK_SAMPLES", 7)
+    rng = np.random.default_rng(bits + tag + channels)
+    n = 23 * channels
+    if tag == 3:
+        values = rng.uniform(-1.5, 1.5, n).astype(np.float32)
+        payload = values.astype("<f4").tobytes()
+        expected = values.astype(np.float64)
+    else:
+        lo, hi = -(2 ** (bits - 1)), 2 ** (bits - 1)
+        ints = np.concatenate([[lo, hi - 1, 0], rng.integers(lo, hi, n - 3)])
+        if bits == 8:  # unsigned, centred on 128
+            payload = (ints + 128).astype(np.uint8).tobytes()
+        else:
+            payload = b"".join(int(v).to_bytes(bits // 8, "little", signed=True) for v in ints)
+        expected = ints.astype(np.float64) / 2.0 ** (bits - 1)
+    path = tmp_path / "blocks.wav"
+    path.write_bytes(make_wav(payload, channels=channels, bits=bits, tag=tag))
+    sig = decode_wav(path)
+    assert np.array_equal(sig.samples, expected.reshape(-1, channels).mean(axis=1))
+
+
+def _traced_peak(fn, *args):
+    """fn(*args) and the peak of memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("channels, bits, tag", [(1, 32, 3), (2, 16, 1)],
+                         ids=["float32-mono", "int16-stereo"])
+def test_decode_peak_memory_follows_the_result(tmp_path, channels, bits, tag):
+    # 2.7M frames decode to 20.6 MiB of float64; holding the whole float32
+    # file beside the result would alone reach the 1.5x bound
+    n = 2_700_000
+    rng = np.random.default_rng(4)
+    if tag == 3:
+        payload = rng.uniform(-1.0, 1.0, n).astype("<f4").tobytes()
+    else:
+        payload = rng.integers(-32768, 32768, n * channels, dtype=np.int16).tobytes()
+    path = tmp_path / "big.wav"
+    path.write_bytes(make_wav(payload, channels=channels, bits=bits, tag=tag))
+    del payload
+    sig, peak = _traced_peak(decode_wav, path)
+    assert len(sig) == n
+    assert peak <= 1.5 * sig.samples.nbytes, f"{peak / 2**20:.1f} MiB"
+
+
+def test_write_wav_bytes_match_a_hand_rolled_image(tmp_path):
+    sig = Signal(np.array([-1.0, -0.5, 0.0, 0.25, 1.0]), 8000.0)
+    path = tmp_path / "image.wav"
+    write_wav(path, sig, "float32")
+    assert path.read_bytes() == make_wav(
+        struct.pack("<5f", -1.0, -0.5, 0.0, 0.25, 1.0), rate=8000, bits=32, tag=3
+    )
+    write_wav(path, sig, "int16")  # x 32767, rounded half to even
+    assert path.read_bytes() == make_wav(
+        struct.pack("<5h", -32767, -16384, 0, 8192, 32767), rate=8000, bits=16, tag=1
+    )
 
 
 def test_write_wav_round_trip(tmp_path):
