@@ -209,8 +209,8 @@ def _decode_into(raw: bytes, tag: int, bits: int, out: np.ndarray) -> None:
     if tag == _WAVE_FORMAT_IEEE_FLOAT:
         out[:] = np.frombuffer(raw, dtype="<f4")
         return
-    if bits == 8:  # unsigned, centred on 128
-        ints = np.frombuffer(raw, dtype=np.uint8) - np.int16(128)
+    if bits == 8:  # unsigned, centred on 128; widened first, so no numpy wraps it
+        ints = np.frombuffer(raw, dtype=np.uint8).astype(np.int16) - 128
     elif bits == 24:
         raw24 = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 3).astype(np.int32)
         ints = raw24[:, 0] | (raw24[:, 1] << 8) | (raw24[:, 2] << 16)
