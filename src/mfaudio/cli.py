@@ -13,7 +13,8 @@ separator, fixed column order):
 
 ``mfaudio run --jobs N`` with N above 1 maps the windows of each
 rendition over a pool of forked worker processes (capped at the CPU
-count); the outputs are identical for any N.
+count).  A worker is sent frame spans, not samples, and decodes its
+windows' frames from the WAV itself; the outputs are identical for any N.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -66,8 +67,9 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
-    The records are analyzed one after another, each decoded in this
-    process.  With ``min(jobs, os.cpu_count())`` above 1, one pool of that
+    The records are analyzed one after another; this process reads each
+    WAV's header, and its frames are decoded chunk by chunk where they are
+    analysed.  With ``min(jobs, os.cpu_count())`` above 1, one pool of that
     many forked worker processes maps the windows of each record; else
     everything runs in this process.  Outcomes do not depend on ``jobs``.
     """

@@ -1,13 +1,15 @@
 """Corpus study protocol: per-window MFDFA, per-part width averaging, and
 per-generation aggregation.
 
-A recording is decoded and split by its :class:`WindowPlan` into parts,
-each part into windows; every window gets a full MFDFA pass in
-``_analyze_window``, a pure function of the window and its config, so
-the windows of one recording can be mapped across a pool of worker
-processes in contiguous chunks, each window's error coming back as a
-value.  The results are reduced in window order after the map, which
-keeps every mean bit-identical for any pool size.  Windows whose analysis
+A recording is split by its :class:`WindowPlan` into parts, each part
+into windows, as sample spans computed from the WAV header alone; every
+window gets a full MFDFA pass in ``_analyze_window``, a pure function of
+the window and its config, so the windows of one recording can be mapped
+across a pool of worker processes in contiguous chunks.  A chunk travels
+as its spans; the process that analyses it decodes its frames from the
+file, and each window's error comes back as a value.  The results are
+reduced in window order after the map, which keeps every mean
+bit-identical for any pool size.  Windows whose analysis
 degenerates (digital silence, a non-concave spectrum) are flagged with
 the reason and excluded from part means instead of poisoning them; a
 part whose every window is flagged is reported as errored.  All means
@@ -32,7 +34,15 @@ from .errors import (
     NonConcaveSpectrumError,
     SchemaError,
 )
-from .signal_io import Signal, WindowPlan, decode_wav, partition_windows
+from .signal_io import (
+    Signal,
+    WindowPlan,
+    _decode_frames,
+    _require_finite,
+    _wav_layout,
+    _WavLayout,
+    _window_spans,
+)
 
 # Window-level failures that flag the window instead of aborting the
 # rendition.  Anything else (bad config, unreadable audio) is a real error.
@@ -42,10 +52,11 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# Windows go to a pool in contiguous chunks of about this many samples
-# (six chunks of 30 one-second windows for a 180 s clip at 8 kHz): a task
-# per window pays inter-process traffic per window, and chunks sized by
-# samples, not by part, still split a one-part clip across the workers.
+# Windows are decoded and analysed in contiguous chunks of about this many
+# samples (six chunks of 30 one-second windows for a 180 s clip at 8 kHz),
+# about 2 MiB of float64 at a time: a task per window pays inter-process
+# traffic per window, and chunks sized by samples, not by part, still split
+# a one-part clip across the workers.
 # On two cores 2**16 to 2**18 timed alike; 2**19 loaded the workers unevenly.
 _CHUNK_SAMPLES = 2**18
 
@@ -177,29 +188,38 @@ def analyze_rendition(
 ) -> RenditionReport:
     """Run MFDFA over every window of every part of one recording.
 
-    ``signal`` skips the decode step when the audio is already in memory.
-    The decode and partition run in the calling process.  With ``pool``
-    the windows go to its workers in contiguous chunks of about
-    ``_CHUNK_SAMPLES`` samples; without it they run in order in the
-    calling process.  The report does not depend on ``pool``: results are
-    taken back in window order and the mean h(q) and r^2 are summed in
-    that order.  Audio and plan errors propagate with the rendition
-    identified, window errors with the rendition, part and window.
+    The calling process reads only the WAV header, and for float PCM scans
+    the raw samples for NaN or infinity in bounded blocks.  The windows are
+    cut into contiguous chunks of about ``_CHUNK_SAMPLES`` samples, and each
+    chunk's frames are decoded by the process that analyses it: a worker of
+    ``pool``, or without one, the calling process, one chunk at a time.
+    ``signal`` skips the file: each chunk then carries its slice of these
+    samples.  The report does not depend on ``pool``: results are taken back
+    in window order and the mean h(q) and r^2 are summed in that order.
+    Audio and plan errors propagate with the rendition identified, window
+    errors with the rendition, part and window.
     """
     try:
         if signal is None:
-            signal = decode_wav(record.audio_path)
-        part_signals = partition_windows(signal, record.plan)
+            layout = _wav_layout(record.audio_path)
+            _require_finite(layout)
+            n_samples, rate = layout.n_frames, layout.sample_rate
+        else:
+            n_samples, rate = len(signal), signal.sample_rate
+        spans = _window_spans(n_samples, rate, record.plan)
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
 
-    windows = [(window, w_idx) for part in part_signals
-               for w_idx, window in enumerate(part, start=1)]
+    windows = [(a, b, w_idx) for part in spans for w_idx, (a, b) in enumerate(part, start=1)]
+    tasks = [
+        (layout if signal is None else Signal(signal.samples[chunk[0][0]:chunk[-1][1]], rate),
+         chunk, record.config)
+        for chunk in _chunks(windows)
+    ]
     if pool is None:
-        analyzed = iter(_analyze_windows(windows, record.config))
+        analyzed = (outcome for task in tasks for outcome in _analyze_windows(*task))
     else:
-        futures = [pool.submit(_analyze_windows, chunk, record.config)
-                   for chunk in _chunks(windows)]
+        futures = [pool.submit(_analyze_windows, *task) for task in tasks]
         # read in window order, so the first error reported is the one the
         # serial path would raise
         analyzed = (outcome for future in futures for outcome in future.result())
@@ -207,7 +227,7 @@ def analyze_rendition(
     parts: list[PartResult] = []
     h_sum = r2_sum = None
     h_count = 0
-    for p_idx, part in enumerate(part_signals, start=1):
+    for p_idx, part in enumerate(spans, start=1):
         results: list[WindowResult] = []
         for w_idx in range(1, len(part) + 1):
             outcome = next(analyzed)
@@ -229,25 +249,35 @@ def analyze_rendition(
     return RenditionReport(record, tuple(parts), mean_hurst)
 
 
-def _chunks(windows: list[tuple[Signal, int]]) -> list[list[tuple[Signal, int]]]:
+def _chunks(windows: list[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
     """``windows`` cut into contiguous runs of near-equal length, each of
     about ``_CHUNK_SAMPLES`` samples."""
     n = len(windows)
-    count = min(n, math.ceil(sum(len(window) for window, _ in windows) / _CHUNK_SAMPLES))
+    count = min(n, math.ceil(sum(b - a for a, b, _ in windows) / _CHUNK_SAMPLES))
     return [windows[i * n // count:(i + 1) * n // count] for i in range(count)]
 
 
 def _analyze_windows(
-    windows: list[tuple[Signal, int]], config: MfdfaConfig
+    source: _WavLayout | Signal, windows: list[tuple[int, int, int]], config: MfdfaConfig
 ) -> list[tuple[WindowResult, HurstCurve | None] | MfaudioError]:
-    """``_analyze_window`` over (window, window index) pairs, in order.
+    """``_analyze_window`` over one chunk's (start, stop, window index)
+    spans, in order.
 
-    A window's ``MfaudioError`` is returned in its place, not raised, so
-    the caller can name the window; the windows after it are skipped.
+    The chunk's samples, from the first span's start to the last span's
+    stop, are read once: decoded from the WAV that ``source`` lays out, or
+    taken from ``source`` itself, a Signal holding just those samples.  A
+    window's ``MfaudioError`` is returned in its place, not raised, so the
+    caller can name the window; the windows after it are skipped.
     """
+    base = windows[0][0]
+    if isinstance(source, Signal):
+        samples = source.samples
+    else:
+        samples = _decode_frames(source, base, windows[-1][1])
     outcomes: list = []
-    for window, w_idx in windows:
+    for a, b, w_idx in windows:
         try:
+            window = Signal(samples[a - base:b - base], source.sample_rate)
             outcomes.append(_analyze_window(window, config, w_idx))
         except MfaudioError as err:
             outcomes.append(err)

@@ -5,6 +5,12 @@ float PCM are decoded; anything compressed is refused rather than guessed.
 Integer samples are normalized to [-1, 1] by the power-of-two divisor of
 their bit depth (16-bit: divide by 32768, so -32768 maps to -1.0 exactly).
 Analysis always runs at the native sample rate; nothing here resamples.
+
+A decode is two steps: a walk of the chunk headers gives a small layout
+of the samples, and any frame range is then decoded from the file in
+blocks.  The segmentation is likewise computed as sample spans from a
+length and a rate, so the pipeline cuts and decodes windows without ever
+holding the whole file.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,7 +42,7 @@ _WAVE_FORMAT_EXTENSIBLE = 0xFFFE
 # in decimal (e.g. 180 * 22050) cannot land one sample short in binary.
 _FLOOR_GUARD = 1e-6
 
-# decode_wav reads blocks of this many samples (1 MiB as float64), not the file
+# WAV data is read in blocks of this many samples (1 MiB as float64), never whole
 _DECODE_BLOCK_SAMPLES = 2**17
 
 
@@ -116,6 +123,19 @@ class WindowPlan:
         return self.clip_start + self.clip_length
 
 
+class _WavLayout(NamedTuple):
+    """Where a WAV's samples lie and how they are stored: all that a reader
+    of any frame range needs, small enough to send to a worker process."""
+
+    path: str | Path
+    data_at: int  # file offset of the first frame
+    tag: int
+    bits: int
+    channels: int
+    sample_rate: float
+    n_frames: int  # whole frames, cut at EOF
+
+
 def decode_wav(path: str | Path) -> Signal:
     """Decode a PCM WAV file into a mono, [-1, 1]-normalized Signal.
 
@@ -129,6 +149,16 @@ def decode_wav(path: str | Path) -> Signal:
     data chunk with zero frames, and NonFiniteDataError, naming the path,
     for a NaN or infinite float sample.
     """
+    layout = _wav_layout(path)
+    try:
+        return Signal(_decode_frames(layout, 0, layout.n_frames), layout.sample_rate)
+    except NonFiniteDataError as err:
+        raise err.add_context(str(path))
+
+
+def _wav_layout(path: str | Path) -> _WavLayout:
+    """Walk the chunk headers of ``path`` and check its codec; decode_wav's
+    errors, except the one for a non-finite sample."""
     with open(path, "rb") as handle:
         header = handle.read(12)
         if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
@@ -146,44 +176,73 @@ def decode_wav(path: str | Path) -> Signal:
                 data_at, data_size = pos + 8, body_size
             pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
-        if fmt is None:
-            raise WavFormatError(f"{path}: missing 'fmt ' chunk")
-        if data_at is None:
-            raise WavFormatError(f"{path}: missing 'data' chunk")
+    if fmt is None:
+        raise WavFormatError(f"{path}: missing 'fmt ' chunk")
+    if data_at is None:
+        raise WavFormatError(f"{path}: missing 'data' chunk")
 
-        tag, channels, rate, bits = fmt
-        if tag == _WAVE_FORMAT_PCM:
-            if bits not in (8, 16, 24, 32):
-                raise UnsupportedCodecError(f"{path}: {bits}-bit integer PCM is not supported")
-        elif tag == _WAVE_FORMAT_IEEE_FLOAT:
-            if bits != 32:
-                raise UnsupportedCodecError(f"{path}: {bits}-bit float PCM is not supported")
-        else:
-            raise UnsupportedCodecError(
-                f"{path}: compressed or unknown codec (format tag 0x{tag:04x})"
-            )
+    tag, channels, rate, bits = fmt
+    if tag == _WAVE_FORMAT_PCM:
+        if bits not in (8, 16, 24, 32):
+            raise UnsupportedCodecError(f"{path}: {bits}-bit integer PCM is not supported")
+    elif tag == _WAVE_FORMAT_IEEE_FLOAT:
+        if bits != 32:
+            raise UnsupportedCodecError(f"{path}: {bits}-bit float PCM is not supported")
+    else:
+        raise UnsupportedCodecError(
+            f"{path}: compressed or unknown codec (format tag 0x{tag:04x})"
+        )
 
-        frame_size = channels * (bits // 8)
-        n_frames = data_size // frame_size
-        if n_frames == 0:
-            raise EmptySignalError(f"{path}: WAV holds zero frames")
+    n_frames = data_size // (channels * (bits // 8))
+    if n_frames == 0:
+        raise EmptySignalError(f"{path}: WAV holds zero frames")
+    return _WavLayout(path, data_at, tag, bits, channels, float(rate), n_frames)
 
-        mono = np.empty(n_frames)
-        block_frames = max(1, _DECODE_BLOCK_SAMPLES // channels)
-        frames = np.empty((min(block_frames, n_frames), channels)) if channels > 1 else None
-        handle.seek(data_at)
-        for start in range(0, n_frames, block_frames):
-            stop = min(start + block_frames, n_frames)
-            raw = handle.read((stop - start) * frame_size)
+
+def _decode_frames(layout: _WavLayout, start: int, stop: int) -> np.ndarray:
+    """Frames [start, stop) of a WAV as mono float64, decoded block by block.
+
+    Multichannel frames are mixed down by adding the channel columns in
+    order onto +0.0 and dividing by the channel count.  For up to 7
+    channels those are the bytes of ``mean(axis=1)`` at several times its
+    speed; from 8 on, numpy's pairwise sum may round differently.
+    """
+    channels = layout.channels
+    frame_size = channels * (layout.bits // 8)
+    mono = np.empty(stop - start)
+    block_frames = max(1, _DECODE_BLOCK_SAMPLES // channels)
+    frames = np.empty((min(block_frames, stop - start), channels)) if channels > 1 else None
+    with open(layout.path, "rb") as handle:
+        handle.seek(layout.data_at + start * frame_size)
+        for a in range(0, stop - start, block_frames):
+            b = min(a + block_frames, stop - start)
+            raw = handle.read((b - a) * frame_size)
             if frames is None:
-                _decode_into(raw, tag, bits, mono[start:stop])
-            else:
-                _decode_into(raw, tag, bits, frames[: stop - start].reshape(-1))
-                frames[: stop - start].mean(axis=1, out=mono[start:stop])
-    try:
-        return Signal(mono, float(rate))
-    except NonFiniteDataError as err:
-        raise err.add_context(str(path))
+                _decode_into(raw, layout.tag, layout.bits, mono[a:b])
+                continue
+            block, out = frames[: b - a], mono[a:b]
+            _decode_into(raw, layout.tag, layout.bits, block.reshape(-1))
+            out.fill(0.0)
+            for column in block.T:
+                out += column
+            out /= channels
+    return mono
+
+
+def _require_finite(layout: _WavLayout) -> None:
+    """Raise NonFiniteDataError, naming the path, for a NaN or infinity in
+    the whole frames of a float WAV, reading blocks of its raw samples.
+    Integer PCM always decodes to finite values."""
+    if layout.tag != _WAVE_FORMAT_IEEE_FLOAT:
+        return
+    size, block = layout.n_frames * layout.channels * 4, 4 * _DECODE_BLOCK_SAMPLES
+    with open(layout.path, "rb") as handle:
+        handle.seek(layout.data_at)
+        for at in range(0, size, block):
+            raw = handle.read(min(block, size - at))
+            if not np.isfinite(np.frombuffer(raw, dtype="<f4")).all():
+                raise NonFiniteDataError("signal samples contain NaN or infinity").add_context(
+                    str(layout.path))
 
 
 def _parse_fmt(body: bytes, path) -> tuple[int, int, int, int]:
@@ -254,19 +313,7 @@ def extract_clip(signal: Signal, start: float, length: float) -> Signal:
 
     Sample indices are floor(start * rate) .. floor((start + length) * rate).
     """
-    if start < 0:
-        raise ClipBoundsError(f"clip start {start:g} s is negative")
-    if length <= 0:
-        raise ClipBoundsError(f"clip length {length:g} s is not positive")
-    i0 = math.floor(start * signal.sample_rate + _FLOOR_GUARD)
-    i1 = math.floor((start + length) * signal.sample_rate + _FLOOR_GUARD)
-    if i1 > len(signal):
-        raise ClipBoundsError(
-            f"clip [{start:g} s, {start + length:g} s) ends beyond the "
-            f"{signal.duration:g} s signal"
-        )
-    if i1 <= i0:
-        raise EmptySignalError(f"clip of {length:g} s holds no samples at this rate")
+    i0, i1 = _clip_span(len(signal), signal.sample_rate, start, length)
     return Signal(signal.samples[i0:i1], signal.sample_rate)
 
 
@@ -277,28 +324,44 @@ def partition_windows(signal: Signal, plan: WindowPlan) -> list[list[Signal]]:
     concatenating them reproduces a prefix of the part sample-for-sample;
     trailing remainder samples are dropped.
     """
-    if plan.required_seconds > signal.duration + 1e-9:
-        raise InsufficientAudioError(plan.required_seconds, signal.duration)
-    clip = extract_clip(signal, plan.clip_start, plan.clip_length)
-
     rate = signal.sample_rate
+    return [[Signal(signal.samples[a:b], rate) for a, b in part]
+            for part in _window_spans(len(signal), rate, plan)]
+
+
+def _clip_span(n_samples: int, rate: float, start: float, length: float) -> tuple[int, int]:
+    """[start, stop) sample indices of a clip of ``n_samples`` at ``rate``."""
+    if start < 0:
+        raise ClipBoundsError(f"clip start {start:g} s is negative")
+    if length <= 0:
+        raise ClipBoundsError(f"clip length {length:g} s is not positive")
+    i0 = math.floor(start * rate + _FLOOR_GUARD)
+    i1 = math.floor((start + length) * rate + _FLOOR_GUARD)
+    if i1 > n_samples:
+        raise ClipBoundsError(
+            f"clip [{start:g} s, {start + length:g} s) ends beyond the "
+            f"{n_samples / rate:g} s signal"
+        )
+    if i1 <= i0:
+        raise EmptySignalError(f"clip of {length:g} s holds no samples at this rate")
+    return i0, i1
+
+
+def _window_spans(n_samples: int, rate: float, plan: WindowPlan) -> list[list[tuple[int, int]]]:
+    """The plan's windows as [start, stop) indices into ``n_samples``
+    samples at ``rate``, part by part; a window is cut at the clip's end."""
+    if plan.required_seconds > n_samples / rate + 1e-9:
+        raise InsufficientAudioError(plan.required_seconds, n_samples / rate)
+    i0, i1 = _clip_span(n_samples, rate, plan.clip_start, plan.clip_length)
+
     part_samples = math.floor(plan.part_length * rate + _FLOOR_GUARD)
     window_samples = math.floor(plan.window_length * rate + _FLOOR_GUARD)
     if window_samples < 1:
         raise ConfigError(
             f"window of {plan.window_length:g} s is shorter than one sample at {rate:g} Hz"
         )
-
-    parts = []
-    for p in range(plan.part_count):
-        base = p * part_samples
-        parts.append(
-            [
-                Signal(
-                    clip.samples[base + w * window_samples : base + (w + 1) * window_samples],
-                    rate,
-                )
-                for w in range(plan.windows_per_part)
-            ]
-        )
-    return parts
+    return [
+        [(min(base + w * window_samples, i1), min(base + (w + 1) * window_samples, i1))
+         for w in range(plan.windows_per_part)]
+        for base in (i0 + p * part_samples for p in range(plan.part_count))
+    ]

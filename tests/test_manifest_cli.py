@@ -3,6 +3,7 @@ import json
 import math
 import multiprocessing
 import os
+import pickle
 import struct
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -14,7 +15,9 @@ from mfaudio import (
     ManifestError,
     NonFiniteDataError,
     Signal,
+    decode_wav,
     gen_cascade_noise,
+    partition_windows,
     validate_manifest,
     write_wav,
 )
@@ -425,11 +428,35 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
 
 
 @needs_two_cpus
+def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
+    # 60 s at 22.05 kHz is 10.6 MB of float64 in 6 chunks; a chunk's task
+    # pickles to its frame spans, the WAV layout and the config
+    sizes = []
+
+    class MeasuringPool(ProcessPoolExecutor):
+        def submit(self, fn, /, *args, **kwargs):
+            sizes.append(len(pickle.dumps((fn, args, kwargs))))
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", MeasuringPool)
+    path, _ = write_corpus(tmp_path, n_entries=1, rate=22050.0, seconds=60.0)
+    outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
+    for jobs, out in zip((1, 2), outs):
+        assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
+    assert len(sizes) == 6
+    assert max(sizes) < 64 * 1024, sizes
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+@needs_two_cpus
 def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypatch):
     # 3 parts of 4 windows; the second chunk starts at window 3 of part 2
     path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
     record = validate_manifest(path, {"part_count": 3, "part_length": None}).records[0]
-    target = pipeline.partition_windows(pipeline.decode_wav(record.audio_path), record.plan)[1][3]
+    target = partition_windows(decode_wav(record.audio_path), record.plan)[1][3]
     real_mfdfa = pipeline.mfdfa
 
     def failing_mfdfa(window, config):
@@ -533,6 +560,24 @@ def test_nan_in_a_wav_fails_its_rendition_with_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
     assert err.startswith(f"error: rendition song-x-artist-0-1950: {wav}: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_nan_after_the_clip_fails_its_rendition(tmp_path, capsys, jobs):
+    # the 12 s clip ends at sample 48,000 of the 24 s file; no window reads
+    # the NaN, and the rendition still fails as a whole
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    doc["defaults"]["window_plan"].update(clip_length=12.0, part_length=6.0)
+    rewrite(path, doc)
+    wav = tmp_path / "take0.wav"
+    image = bytearray(wav.read_bytes())
+    struct.pack_into("<f", image, 44 + 4 * 20 * 4000, math.nan)
+    wav.write_bytes(bytes(image))
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: rendition song-x-artist-0-1950: {wav}: signal samples contain NaN or infinity\n"
+    )
 
 
 def test_short_audio_errors_with_identifier(tmp_path, capsys):

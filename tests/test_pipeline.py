@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
@@ -19,8 +20,10 @@ from mfaudio import (
     aggregate_generation,
     analyze_rendition,
     cross_generation_table,
+    decode_wav,
     gen_cascade_noise,
     gen_fgn_prefix,
+    partition_windows,
     write_wav,
 )
 from mfaudio import pipeline
@@ -123,7 +126,7 @@ def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch, poo
         tmp_path, sig,
         plan=WindowPlan(clip_length=36.0, part_count=2, part_length=18.0, window_length=6.0),
     )
-    target = pipeline.partition_windows(pipeline.decode_wav(record.audio_path), record.plan)[1][2]
+    target = partition_windows(decode_wav(record.audio_path), record.plan)[1][2]
     real_mfdfa = pipeline.mfdfa
 
     def failing_mfdfa(window, config):
@@ -163,6 +166,32 @@ def test_short_audio_propagates_with_record_identified(tmp_path):
         analyze_rendition(record)
     assert "song-a-artist-a-1950" in str(err.value)
     assert err.value.required_seconds == 6.0
+
+
+def test_file_and_decoded_signal_give_the_same_report(tmp_path):
+    # a chunk decoded from the file and the same chunk cut from the decoded
+    # samples are the same bytes
+    record = make_record(tmp_path, gen_cascade_noise(24 * 4000, 0.7, 6, 4000.0))
+    assert_same_report(analyze_rendition(record),
+                       analyze_rendition(record, signal=decode_wav(record.audio_path)))
+
+
+def test_rendition_memory_follows_the_chunk_not_the_file(tmp_path):
+    # 180 s at 8 kHz decode to 11.5 MB of float64; only the 12 s clip is
+    # analysed, and no more than a chunk of it is decoded at a time
+    n = 180 * 8000
+    record = make_record(
+        tmp_path, gen_cascade_noise(n, 0.7, 7, 8000.0), name="long.wav",
+        plan=WindowPlan(clip_length=12.0, part_count=2, part_length=6.0, window_length=6.0),
+    )
+    tracemalloc.start()
+    try:
+        report = analyze_rendition(record)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [len(p.windows) for p in report.parts] == [1, 1]
+    assert peak < 0.5 * n * 8, f"{peak / 1e6:.1f} MB"
 
 
 def test_stationary_fgn_has_homogeneous_parts():

@@ -276,6 +276,29 @@ def test_decode_across_block_boundaries(tmp_path, monkeypatch, bits, tag, channe
     assert np.array_equal(sig.samples, expected.reshape(-1, channels).mean(axis=1))
 
 
+@pytest.mark.parametrize("channels", [1, 2, 3])
+@pytest.mark.parametrize("bits, tag", _CODECS, ids=["u8", "s16", "s24", "s32", "f32"])
+def test_frame_range_decode_equals_the_slice_of_the_whole(tmp_path, monkeypatch, bits, tag, channels):
+    # 7 samples a block: 7 frames mono, 3 stereo, 2 of 3 channels; the
+    # payload ends one byte short of a 24th frame, which neither read decodes
+    monkeypatch.setattr(signal_io, "_DECODE_BLOCK_SAMPLES", 7)
+    n, frame = 23, channels * bits // 8
+    rng = np.random.default_rng(10 * bits + tag + channels)
+    payload = rng.integers(0, 256, (n + 1) * frame - 1, dtype=np.uint8)
+    if tag == 3:  # finite floats, with zeros of both signs
+        values = rng.uniform(-1.5, 1.5, n * channels).astype("<f4")
+        values[:2 * channels] = [0.0, -0.0] * channels
+        payload[:n * frame] = values.view(np.uint8)
+    path = tmp_path / "range.wav"
+    path.write_bytes(make_wav(payload.tobytes(), channels=channels, bits=bits, tag=tag))
+    whole = decode_wav(path).samples
+    layout = signal_io._wav_layout(path)
+    assert layout.n_frames == n
+    for a, b in [(0, n), (0, 1), (2, 9), (4, 17), (5, n), (n - 1, n), (8, 8)]:
+        part = signal_io._decode_frames(layout, a, b)
+        assert part.tobytes() == whole[a:b].tobytes(), (a, b)
+
+
 def _traced_peak(fn, *args):
     """fn(*args) and the peak of memory traced while it ran, in bytes."""
     tracemalloc.start()
