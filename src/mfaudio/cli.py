@@ -11,10 +11,11 @@ separator, fixed column order):
 - ``plot_<song>.csv``   long-format plot data per song
 - ``plot_all_songs.csv``  the same across every song
 
-``mfaudio run --jobs N`` with N above 1 maps the windows of each
-rendition over a pool of forked worker processes (capped at the CPU
-count).  A worker is sent frame spans, not samples, and decodes its
-windows' frames from the WAV itself; the outputs are identical for any N.
+``mfaudio run --jobs N`` with N above 1 maps the windows of every
+rendition, queued as one stream, over a pool of forked worker processes
+(capped at the CPU count) that inherit the detrending bases.  A worker is
+sent frame spans, not samples, and decodes its windows' frames from the
+WAV itself; the outputs are identical for any N.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -28,7 +29,6 @@ as one line).  Errors go to stderr.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import json
 import math
@@ -45,9 +45,11 @@ from .errors import ConfigError, ManifestError, MfaudioError
 from .manifest import Manifest, validate_manifest
 from .pipeline import (
     RenditionReport,
+    _plan_rendition,
+    _reduce_rendition,
     _slug,
+    _submit_chunks,
     aggregate_generation,
-    analyze_rendition,
 )
 from .signal_io import Signal, write_wav
 from .synth import cascade_masses, gen_cascade_noise, gen_fgn_prefix
@@ -67,21 +69,31 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
-    The records are analyzed one after another; this process reads each
-    WAV's header, and its frames are decoded chunk by chunk where they are
-    analysed.  With ``min(jobs, os.cpu_count())`` above 1, one pool of that
-    many forked worker processes maps the windows of each record; else
-    everything runs in this process.  Outcomes do not depend on ``jobs``.
+    Every record is planned first (header, spans, detrending bases), then
+    every record's chunks are queued as one stream, and the records are
+    reduced in manifest order.  With ``min(jobs, os.cpu_count())`` above 1,
+    a pool of that many forked worker processes analyses the chunks; else
+    each chunk runs in this process when its record is reduced.  Outcomes
+    do not depend on ``jobs``.  An unexpected exception cancels the chunks
+    not yet started instead of waiting on them.
     """
     _check_jobs(jobs)
     workers = min(jobs, os.cpu_count() or 1)
+    plans = [_kept(_plan_rendition, record) for record in manifest.records]
     # threads serialise on the interpreter lock over a window's small numpy
-    # calls.  Forked workers inherit the imported modules, which spawned
-    # ones would import again; the pool forks them all at its first submit,
-    # before it starts a thread of its own.
-    with (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        outcomes = [_safe_analyze(record, pool) for record in manifest.records]
+    # calls.  Forked workers inherit the imported modules and the plans'
+    # bases, which spawned ones would build again; the pool forks them all
+    # at its first submit, before it starts a thread of its own (OpenBLAS
+    # already runs its threads: 2 after ``import numpy`` on a 2-core host).
+    pool = (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+            if workers > 1 else None)
+    try:
+        streams = [p if isinstance(p, MfaudioError) else (p, _submit_chunks(p, pool)) for p in plans]
+        outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, *s)
+                    for s in streams]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
 
@@ -91,9 +103,10 @@ def _check_jobs(jobs: int) -> None:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
 
 
-def _safe_analyze(record, pool):
+def _kept(step, *args):
+    """``step(*args)``, or the MfaudioError it raised."""
     try:
-        return analyze_rendition(record, pool=pool)
+        return step(*args)
     except MfaudioError as err:
         return err
 

@@ -22,10 +22,11 @@ import math
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, mfdfa
+from .analysis import HurstCurve, MfdfaConfig, _detrend_basis, mfdfa
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -188,6 +189,7 @@ def analyze_rendition(
 ) -> RenditionReport:
     """Run MFDFA over every window of every part of one recording.
 
+    It plans, submits and reduces, as ``cli.run_corpus`` does per record.
     The calling process reads only the WAV header, and for float PCM scans
     the raw samples for NaN or infinity in bounded blocks.  The windows are
     cut into contiguous chunks of about ``_CHUNK_SAMPLES`` samples, and each
@@ -199,6 +201,20 @@ def analyze_rendition(
     Audio and plan errors propagate with the rendition identified, window
     errors with the rendition, part and window.
     """
+    plan = _plan_rendition(record, signal)
+    return _reduce_rendition(plan, _submit_chunks(plan, pool))
+
+
+class _RenditionPlan(NamedTuple):
+    record: RenditionRecord
+    spans: list[list[tuple[int, int]]]
+    tasks: list[tuple]  # the arguments of _analyze_windows, chunk by chunk
+
+
+def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _RenditionPlan:
+    """Header, float scan, window spans and chunk tasks of one recording,
+    and the detrending bases of every window length, which workers forked
+    after this call inherit along with an initialised LAPACK."""
     try:
         if signal is None:
             layout = _wav_layout(record.audio_path)
@@ -210,24 +226,40 @@ def analyze_rendition(
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
 
+    config = record.config
+    for n in {b - a for part in spans for a, b in part}:
+        try:
+            scales = config.scales_for(n)
+        except MfaudioError:  # each such window fails in _analyze_window, named
+            continue
+        for s in scales:
+            _detrend_basis(int(s), config.detrend_order)
+
     windows = [(a, b, w_idx) for part in spans for w_idx, (a, b) in enumerate(part, start=1)]
     tasks = [
-        (layout if signal is None else Signal(signal.samples[chunk[0][0]:chunk[-1][1]], rate),
-         chunk, record.config)
+        (layout if signal is None else signal.samples[chunk[0][0]:chunk[-1][1]], chunk, config)
         for chunk in _chunks(windows)
     ]
-    if pool is None:
-        analyzed = (outcome for task in tasks for outcome in _analyze_windows(*task))
-    else:
-        futures = [pool.submit(_analyze_windows, *task) for task in tasks]
-        # read in window order, so the first error reported is the one the
-        # serial path would raise
-        analyzed = (outcome for future in futures for outcome in future.result())
+    return _RenditionPlan(record, spans, tasks)
 
+
+def _submit_chunks(plan: _RenditionPlan, pool: Executor | None) -> Iterator:
+    """The plan's window outcomes, read in window order so that the first
+    error is the one the serial path raises.  Every chunk is submitted to
+    ``pool`` at once; without a pool each runs when it is reached."""
+    if pool is None:
+        return (outcome for task in plan.tasks for outcome in _analyze_windows(*task))
+    futures = [pool.submit(_analyze_windows, *task) for task in plan.tasks]
+    return (outcome for future in futures for outcome in future.result())
+
+
+def _reduce_rendition(plan: _RenditionPlan, analyzed: Iterator) -> RenditionReport:
+    """The plan's report from its window outcomes; a window error is raised."""
+    record = plan.record
     parts: list[PartResult] = []
     h_sum = r2_sum = None
     h_count = 0
-    for p_idx, part in enumerate(spans, start=1):
+    for p_idx, part in enumerate(plan.spans, start=1):
         results: list[WindowResult] = []
         for w_idx in range(1, len(part) + 1):
             outcome = next(analyzed)
@@ -258,27 +290,26 @@ def _chunks(windows: list[tuple[int, int, int]]) -> list[list[tuple[int, int, in
 
 
 def _analyze_windows(
-    source: _WavLayout | Signal, windows: list[tuple[int, int, int]], config: MfdfaConfig
+    source: _WavLayout | np.ndarray, windows: list[tuple[int, int, int]], config: MfdfaConfig
 ) -> list[tuple[WindowResult, HurstCurve | None] | MfaudioError]:
     """``_analyze_window`` over one chunk's (start, stop, window index)
     spans, in order.
 
     The chunk's samples, from the first span's start to the last span's
     stop, are read once: decoded from the WAV that ``source`` lays out, or
-    taken from ``source`` itself, a Signal holding just those samples.  A
+    taken from ``source`` itself, an array of just those samples.  A
     window's ``MfaudioError`` is returned in its place, not raised, so the
     caller can name the window; the windows after it are skipped.
     """
     base = windows[0][0]
-    if isinstance(source, Signal):
-        samples = source.samples
+    if isinstance(source, np.ndarray):
+        samples = source
     else:
         samples = _decode_frames(source, base, windows[-1][1])
     outcomes: list = []
     for a, b, w_idx in windows:
         try:
-            window = Signal(samples[a - base:b - base], source.sample_rate)
-            outcomes.append(_analyze_window(window, config, w_idx))
+            outcomes.append(_analyze_window(samples[a - base:b - base], config, w_idx))
         except MfaudioError as err:
             outcomes.append(err)
             break
@@ -286,20 +317,20 @@ def _analyze_windows(
 
 
 def _analyze_window(
-    window: Signal, config: MfdfaConfig, window_index: int
+    samples: np.ndarray, config: MfdfaConfig, window_index: int
 ) -> tuple[WindowResult, HurstCurve | None]:
     """One window's diagnostics and h(q) curve; a flagged window has no curve."""
     try:
-        res = mfdfa(window, config)
+        res = mfdfa(samples, config)
     except _WINDOW_FLAG_ERRORS as err:
         flagged = WindowResult(
-            window_index, len(window), math.nan, math.nan, math.nan,
+            window_index, samples.size, math.nan, math.nan, math.nan,
             math.nan, math.nan, flagged=True, flag_reason=str(err),
         )
         return flagged, None
     h2, r2 = res.hurst.at(2.0)
     result = WindowResult(
-        window_index, len(window), res.width.width, res.width.alpha0,
+        window_index, samples.size, res.width.width, res.width.alpha0,
         res.width.asymmetry, h2, r2,
     )
     return result, res.hurst

@@ -5,6 +5,7 @@ import multiprocessing
 import os
 import pickle
 import struct
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from mfaudio import (
     validate_manifest,
     write_wav,
 )
-from mfaudio import cli, pipeline
+from mfaudio import analysis, cli, pipeline
 from mfaudio.cli import main
 from mfaudio.manifest import build_q_grid, parse_scale_rule
 
@@ -460,7 +461,7 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
     real_mfdfa = pipeline.mfdfa
 
     def failing_mfdfa(window, config):
-        if np.array_equal(window.samples, target.samples):
+        if np.array_equal(window, target.samples):
             raise NonFiniteDataError("injected")
         return real_mfdfa(window, config)
 
@@ -471,6 +472,71 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         "error: rendition song-x-artist-0-1950 part 2 window 4: injected\n"
     )
+
+
+@needs_two_cpus
+def test_no_worker_builds_a_detrend_basis(tmp_path, monkeypatch):
+    # the plans build every basis before the pool forks its workers, so a
+    # worker that had to build one itself fails the run with status 3
+    analysis._detrend_basis.cache_clear()
+    main_pid, real_qr = os.getpid(), np.linalg.qr
+
+    def main_process_qr(*args, **kwargs):
+        if os.getpid() != main_pid:
+            raise RuntimeError("a worker built a detrending basis")
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", main_process_qr)
+    path, _ = write_corpus(tmp_path, n_entries=2)
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+
+
+@needs_two_cpus
+def test_one_stream_keeps_every_outcome_at_any_jobs(tmp_path, capsys):
+    # entry 2's truncated header fails while its record is planned; entries
+    # 1 (4 kHz) and 3 (8 kHz) have windows of two lengths and still run
+    path, _ = write_corpus(tmp_path, n_entries=3)
+    broken = tmp_path / "take1.wav"
+    broken.write_bytes(broken.read_bytes()[:20])
+    write_wav(tmp_path / "take2.wav", gen_cascade_noise(24 * 8000, 0.7, 52, 8000.0), "float32")
+    runs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"out{jobs}"
+        code = main(["run", "--manifest", str(path), "--out", str(out), "--jobs", jobs])
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        runs.append((code, capsys.readouterr().err, files))
+    assert runs[0] == runs[1]
+    code, err, _ = runs[0]
+    assert code == 1
+    assert err == f"error: rendition song-x-artist-1-1951: {broken}: truncated 'fmt ' chunk\n"
+    rows = read_csv(tmp_path / "out1" / "widths.csv")[1:]
+    assert [(row[1], row[4]) for row in rows] == [
+        ("artist-0", "1"), ("artist-0", "2"), ("artist-2", "1"), ("artist-2", "2"),
+    ]
+
+
+@needs_two_cpus
+def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch):
+    # 5 entries of 4 windows at one window per chunk queue 20 chunks at once.
+    # After the first error only the chunks already running or in the
+    # pool's call queue (2 + 3, and a race) may start; the rest are
+    # cancelled, not waited for.
+    started = tmp_path / "started.txt"
+
+    def slow_broken_mfdfa(window, config):
+        with open(started, "a", encoding="utf-8") as handle:
+            handle.write("started\n")
+        time.sleep(0.2)
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
+    monkeypatch.setattr(pipeline, "mfdfa", slow_broken_mfdfa)
+    path, _ = write_corpus(tmp_path, n_entries=5)
+    code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
+    assert code == 3
+    assert capsys.readouterr().err == "run internal error: RuntimeError: boom\n"
+    assert len(started.read_text(encoding="utf-8").splitlines()) <= 8
 
 
 @needs_two_cpus

@@ -130,7 +130,7 @@ def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch, poo
     real_mfdfa = pipeline.mfdfa
 
     def failing_mfdfa(window, config):
-        if np.array_equal(window.samples, target.samples):
+        if np.array_equal(window, target.samples):
             raise NonFiniteDataError("injected")
         return real_mfdfa(window, config)
 
