@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import legendre_spectrum
+from .analysis import _warm_bases, legendre_spectrum
 from .errors import ConfigError, ManifestError, MfaudioError
 from .manifest import Manifest, validate_manifest
 from .pipeline import (
@@ -69,24 +69,26 @@ def run_corpus(manifest: Manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
-    Every record is planned first (header, spans, detrending bases), then
-    every record's chunks are queued as one stream, and the records are
-    reduced in manifest order.  With ``min(jobs, os.cpu_count())`` above 1,
-    a pool of that many forked worker processes analyses the chunks; else
-    each chunk runs in this process when its record is reduced.  Outcomes
-    do not depend on ``jobs``.  An unexpected exception cancels the chunks
-    not yet started instead of waiting on them.
+    Every record is planned first (header, spans, chunk tasks), then every
+    record's chunks are queued as one stream, and the records are reduced
+    in manifest order.  With ``min(jobs, os.cpu_count())`` above 1, a pool
+    of that many forked worker processes analyses the chunks, inheriting the
+    detrending bases built here first; else each chunk runs in this process
+    when its record is reduced.  Outcomes do not depend on ``jobs``.  An
+    unexpected exception cancels the chunks not yet started.
     """
     _check_jobs(jobs)
     workers = min(jobs, os.cpu_count() or 1)
     plans = [_kept(_plan_rendition, record) for record in manifest.records]
-    # threads serialise on the interpreter lock over a window's small numpy
-    # calls.  Forked workers inherit the imported modules and the plans'
-    # bases, which spawned ones would build again; the pool forks them all
-    # at its first submit, before it starts a thread of its own (OpenBLAS
-    # already runs its threads: 2 after ``import numpy`` on a 2-core host).
-    pool = (ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-            if workers > 1 else None)
+    pool = None
+    if workers > 1:
+        # threads serialise on the interpreter lock over a window's small
+        # numpy calls.  Forked workers inherit the imported modules and the
+        # bases, which spawned ones would build again; the pool forks them
+        # all at its first submit, before it starts a thread of its own.
+        _warm_bases((n, p.record.config) for p in plans if not isinstance(p, MfaudioError)
+                    for n in {b - a for part in p.spans for a, b in part})
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:
         streams = [p if isinstance(p, MfaudioError) else (p, _submit_chunks(p, pool)) for p in plans]
         outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, *s)

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, _detrend_basis, mfdfa
+from .analysis import HurstCurve, MfdfaConfig, mfdfa
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -212,9 +212,7 @@ class _RenditionPlan(NamedTuple):
 
 
 def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _RenditionPlan:
-    """Header, float scan, window spans and chunk tasks of one recording,
-    and the detrending bases of every window length, which workers forked
-    after this call inherit along with an initialised LAPACK."""
+    """Header, float scan, window spans and chunk tasks of one recording."""
     try:
         if signal is None:
             layout = _wav_layout(record.audio_path)
@@ -226,18 +224,10 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _R
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
 
-    config = record.config
-    for n in {b - a for part in spans for a, b in part}:
-        try:
-            scales = config.scales_for(n)
-        except MfaudioError:  # each such window fails in _analyze_window, named
-            continue
-        for s in scales:
-            _detrend_basis(int(s), config.detrend_order)
-
     windows = [(a, b, w_idx) for part in spans for w_idx, (a, b) in enumerate(part, start=1)]
     tasks = [
-        (layout if signal is None else signal.samples[chunk[0][0]:chunk[-1][1]], chunk, config)
+        (layout if signal is None else signal.samples[chunk[0][0]:chunk[-1][1]],
+         chunk, record.config)
         for chunk in _chunks(windows)
     ]
     return _RenditionPlan(record, spans, tasks)

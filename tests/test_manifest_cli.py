@@ -476,8 +476,8 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 
 @needs_two_cpus
 def test_no_worker_builds_a_detrend_basis(tmp_path, monkeypatch):
-    # the plans build every basis before the pool forks its workers, so a
-    # worker that had to build one itself fails the run with status 3
+    # run_corpus builds every basis before the pool forks its workers, so
+    # a worker that had to build one itself fails the run with status 3
     analysis._detrend_basis.cache_clear()
     main_pid, real_qr = os.getpid(), np.linalg.qr
 
@@ -490,6 +490,29 @@ def test_no_worker_builds_a_detrend_basis(tmp_path, monkeypatch):
     path, _ = write_corpus(tmp_path, n_entries=2)
     assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == 0
+
+
+def test_serial_run_builds_no_more_bases_than_window_order_needs(tmp_path):
+    # five sample rates give five window lengths, more bases than the cache
+    # holds; at --jobs 1 no basis may be built ahead of its window, where it
+    # would be evicted before use and built again
+    path, _ = write_corpus(tmp_path, n_entries=5)
+    for i, rate in enumerate((4000.0, 4410.0, 4800.0, 5512.0, 6000.0)):
+        write_wav(tmp_path / f"take{i}.wav", gen_cascade_noise(int(24 * rate), 0.7, 60 + i, rate),
+                  "float32")
+    manifest = validate_manifest(path)
+    analysis._detrend_basis.cache_clear()
+    for record in manifest.records:
+        for part in partition_windows(decode_wav(record.audio_path), record.plan):
+            for window in part:
+                analysis.mfdfa(window, record.config)
+    in_window_order = analysis._detrend_basis.cache_info().misses
+    assert in_window_order > analysis._BASIS_CACHE_SIZE
+
+    analysis._detrend_basis.cache_clear()
+    outcomes, failures = cli.run_corpus(manifest, jobs=1)
+    assert failures == []
+    assert analysis._detrend_basis.cache_info().misses == in_window_order
 
 
 @needs_two_cpus
