@@ -59,7 +59,6 @@ from .signal_io import (
     Signal,
     WindowPlan,
     decode_wav,
-    extract_clip,
     partition_windows,
     write_wav,
 )

@@ -1,5 +1,6 @@
-"""Batch front door: validate a corpus manifest, run the study pipeline,
-and emit CSV tables and plot data.
+"""Batch front door: argument parsing, CSV writing and exit codes around
+``pipeline.run_corpus``, which runs the study pipeline over a validated
+corpus manifest.
 
 Outputs of ``mfaudio run`` (all CSV: UTF-8, LF line endings, '.' decimal
 separator, fixed column order):
@@ -11,11 +12,10 @@ separator, fixed column order):
 - ``plot_<song>.csv``   long-format plot data per song
 - ``plot_all_songs.csv``  the same across every song
 
-``mfaudio run --jobs N`` with N above 1 maps the windows of every
-rendition, queued as one stream, over a pool of forked worker processes
-(capped at the CPU count) that inherit the detrending bases.  A worker is
-sent frame spans, not samples, and decodes its windows' frames from the
-WAV itself; the outputs are identical for any N.
+``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it maps the
+windows of every rendition, queued as one stream, over a pool of forked
+worker processes (capped at the CPU count); the outputs are identical
+for any N.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -32,25 +32,16 @@ import argparse
 import csv
 import json
 import math
-import multiprocessing
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from .analysis import _warm_bases, legendre_spectrum
-from .errors import ConfigError, ManifestError, MfaudioError
-from .manifest import Manifest, validate_manifest
-from .pipeline import (
-    RenditionReport,
-    _plan_rendition,
-    _reduce_rendition,
-    _slug,
-    _submit_chunks,
-    aggregate_generation,
-)
+from .analysis import legendre_spectrum
+from .errors import ManifestError, MfaudioError
+from .manifest import validate_manifest
+from .pipeline import RenditionReport, _check_jobs, _slug, aggregate_generation, run_corpus
 from .signal_io import Signal, write_wav
 from .synth import cascade_masses, gen_cascade_noise, gen_fgn_prefix
 
@@ -62,55 +53,6 @@ def _f17(x) -> str:
 
 def _f4(x) -> str:
     return format(float(x), ".4g")
-
-
-def run_corpus(manifest: Manifest, jobs: int = 1):
-    """Analyze every record; reports and failures come back in manifest order.
-
-    Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
-    the MfaudioError that aborted entry i, and failures lists the errors.
-    Every record is planned first (header, spans, chunk tasks), then every
-    record's chunks are queued as one stream, and the records are reduced
-    in manifest order.  With ``min(jobs, os.cpu_count())`` above 1, a pool
-    of that many forked worker processes analyses the chunks, inheriting the
-    detrending bases built here first; else each chunk runs in this process
-    when its record is reduced.  Outcomes do not depend on ``jobs``.  An
-    unexpected exception cancels the chunks not yet started.
-    """
-    _check_jobs(jobs)
-    workers = min(jobs, os.cpu_count() or 1)
-    plans = [_kept(_plan_rendition, record) for record in manifest.records]
-    pool = None
-    if workers > 1:
-        # threads serialise on the interpreter lock over a window's small
-        # numpy calls.  Forked workers inherit the imported modules and the
-        # bases, which spawned ones would build again; the pool forks them
-        # all at its first submit, before it starts a thread of its own.
-        _warm_bases((n, p.record.config) for p in plans if not isinstance(p, MfaudioError)
-                    for n in {b - a for part in p.spans for a, b in part})
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    try:
-        streams = [p if isinstance(p, MfaudioError) else (p, _submit_chunks(p, pool)) for p in plans]
-        outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, *s)
-                    for s in streams]
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-    failures = [o for o in outcomes if isinstance(o, MfaudioError)]
-    return outcomes, failures
-
-
-def _check_jobs(jobs: int) -> None:
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-
-
-def _kept(step, *args):
-    """``step(*args)``, or the MfaudioError it raised."""
-    try:
-        return step(*args)
-    except MfaudioError as err:
-        return err
 
 
 def _write_csv(path: Path, header: list[str], rows) -> None:

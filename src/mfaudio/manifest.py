@@ -6,6 +6,7 @@ Schema (version 1): an object holding ``version`` (1), an optional
 ``window_plan`` and ``mfdfa`` settings, and a non-empty ``entries`` list.
 Each entry names ``song_id``, ``artist``, ``year``, ``generation`` and
 ``path`` and may carry its own ``window_plan`` / ``mfdfa`` settings.
+Every section is a JSON object holding only the keys named here.
 README.md shows a full example.
 
 Merge precedence, lowest to highest: WindowPlan / MfdfaConfig defaults,
@@ -41,7 +42,8 @@ SUPPORTED_VERSION = 1
 _PLAN_KEYS = {f.name for f in fields(WindowPlan)}
 _Q_TRIPLE = ("q_min", "q_max", "q_step")
 _MFDFA_KEYS = {f.name for f in fields(MfdfaConfig)} | set(_Q_TRIPLE)
-_ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", "window_plan", "mfdfa"}
+_SECTIONS = {"window_plan": _PLAN_KEYS, "mfdfa": _MFDFA_KEYS}  # known keys of each
+_ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", *_SECTIONS}
 _REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int, "path": str}
 
 
@@ -83,10 +85,6 @@ def config_from_settings(settings: dict) -> MfdfaConfig:
     The q triple becomes ``q_grid`` and a "MIN:MAX:COUNT" ``scales`` rule
     is expanded; every other setting is passed to MfdfaConfig as is.
     """
-    unknown = set(settings) - _MFDFA_KEYS
-    if unknown:
-        raise ConfigError(f"unknown mfdfa setting(s): {', '.join(sorted(unknown))}")
-
     kwargs = dict(settings)
     triple = {k: kwargs.pop(k) for k in _Q_TRIPLE if k in kwargs}
     if triple:
@@ -112,9 +110,6 @@ def plan_from_settings(settings: dict) -> WindowPlan:
     turns a 180 s clip into 4 x 45 s parts; an absent term is WindowPlan's
     own default.
     """
-    unknown = set(settings) - _PLAN_KEYS
-    if unknown:
-        raise ConfigError(f"unknown window_plan setting(s): {', '.join(sorted(unknown))}")
     kwargs = dict(settings)
     if "part_length" in kwargs and kwargs["part_length"] is None:
         clip_length = kwargs.get("clip_length", WindowPlan.clip_length)
@@ -123,6 +118,18 @@ def plan_from_settings(settings: dict) -> WindowPlan:
         with contextlib.suppress(TypeError, ZeroDivisionError):
             kwargs["part_length"] = clip_length / part_count
     return WindowPlan(**kwargs)
+
+
+def _object(value, path: str, known: set[str], violations: list[str]) -> dict:
+    """The items of ``value`` whose keys are in ``known``, {} unless it is a
+    JSON object; any other type, or another key, is a violation naming ``path``."""
+    if not isinstance(value, dict):
+        violations.append(f"'{path}' must be an object")
+        return {}
+    unknown = set(value) - known
+    if unknown:
+        violations.append(f"{path}: unknown key(s): {', '.join(sorted(unknown))}")
+    return {key: item for key, item in value.items() if key in known}
 
 
 def _merge(*layers: dict | None) -> dict:
@@ -158,6 +165,7 @@ def validate_manifest(
     violations: list[str] = []
     if not isinstance(doc, dict):
         raise ManifestError(f"{path}: manifest root must be a JSON object")
+    _object(doc, "manifest", {"version", "output_dir", "defaults", "entries"}, violations)
 
     version = doc.get("version")
     if version != SUPPORTED_VERSION:
@@ -166,12 +174,9 @@ def validate_manifest(
     if output_dir is not None and not isinstance(output_dir, str):
         violations.append(f"output_dir must be a string, got {type(output_dir).__name__}")
 
-    defaults = doc.get("defaults", {})
-    if not isinstance(defaults, dict):
-        violations.append("'defaults' must be an object")
-        defaults = {}
-    default_plan = defaults.get("window_plan", {})
-    default_mfdfa = defaults.get("mfdfa", {})
+    defaults = _object(doc.get("defaults", {}), "defaults", set(_SECTIONS), violations)
+    default_plan, default_mfdfa = (_object(defaults.get(key, {}), f"defaults.{key}", known, violations)
+                                   for key, known in _SECTIONS.items())
 
     entries = doc.get("entries")
     if not isinstance(entries, list) or not entries:
@@ -190,9 +195,7 @@ def validate_manifest(
         if not isinstance(entry, dict):
             violations.append(f"{label}: entry must be an object")
             continue
-        unknown = set(entry) - _ENTRY_KEYS
-        if unknown:
-            violations.append(f"{label}: unknown key(s): {', '.join(sorted(unknown))}")
+        _object(entry, label, _ENTRY_KEYS, violations)
 
         missing = [k for k in _REQUIRED_TYPES if k not in entry]
         if missing:
@@ -213,9 +216,11 @@ def validate_manifest(
             violations.append(f"{label}: missing file {audio_path}")
             continue
 
+        entry_plan, entry_mfdfa = (_object(entry.get(key, {}), f"{label}.{key}", known, violations)
+                                   for key, known in _SECTIONS.items())
         try:
-            plan = plan_from_settings(_merge(default_plan, cli_plan, entry.get("window_plan")))
-            config = config_from_settings(_merge(default_mfdfa, cli_mfdfa, entry.get("mfdfa")))
+            plan = plan_from_settings(_merge(default_plan, cli_plan, entry_plan))
+            config = config_from_settings(_merge(default_mfdfa, cli_mfdfa, entry_mfdfa))
             check_spectrum_grid(config.q_grid)
             record = RenditionRecord(
                 song_id=entry["song_id"],

@@ -1,32 +1,36 @@
-"""Corpus study protocol: per-window MFDFA, per-part width averaging, and
-per-generation aggregation.
+"""Corpus study protocol: the run path of ``mfaudio run`` (per-window
+MFDFA, per-part width averaging) and per-generation aggregation.
 
-A recording is split by its :class:`WindowPlan` into parts, each part
-into windows, as sample spans computed from the WAV header alone; every
-window gets a full MFDFA pass in ``_analyze_window``, a pure function of
-the window and its config, so the windows of one recording can be mapped
-across a pool of worker processes in contiguous chunks.  A chunk travels
-as its spans; the process that analyses it decodes its frames from the
+``run_corpus`` splits each recording by its :class:`WindowPlan` into
+parts, each part into windows, as sample spans computed from the WAV
+header alone; every window gets a full MFDFA pass in ``_analyze_window``,
+a pure function of the window and its config, so the windows of every
+recording are mapped as one stream of contiguous chunks, by builtin
+``map`` or over a pool of forked worker processes.  A chunk travels as
+its spans; the process that analyses it decodes its frames from the
 file, and each window's error comes back as a value.  The results are
 reduced in window order after the map, which keeps every mean
-bit-identical for any pool size.  Windows whose analysis
-degenerates (digital silence, a non-concave spectrum) are flagged with
-the reason and excluded from part means instead of poisoning them; a
-part whose every window is flagged is reported as errored.  All means
-are plain arithmetic means of their listed constituents.
+bit-identical for any pool size.  Windows whose analysis degenerates
+(digital silence, a non-concave spectrum) are flagged with the reason
+and excluded from part means instead of poisoning them; a part whose
+every window is flagged is reported as errored.  All means are plain
+arithmetic means of their listed constituents.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import Executor
+import multiprocessing
+import os
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, mfdfa
+from .analysis import HurstCurve, MfdfaConfig, _warm_bases, mfdfa
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -124,7 +128,7 @@ class PartResult:
 
     @property
     def errored(self) -> bool:
-        return len(self.windows) == 0 or all(w.flagged for w in self.windows)
+        return all(w.flagged for w in self.windows)
 
     @property
     def mean_width(self) -> float:
@@ -184,31 +188,80 @@ class CrossGenerationTable:
     mean_widths: np.ndarray  # shape (len(generation_indices), part_count)
 
 
-def analyze_rendition(
-    record: RenditionRecord, signal: Signal | None = None, pool: Executor | None = None
-) -> RenditionReport:
-    """Run MFDFA over every window of every part of one recording.
+def run_corpus(manifest, jobs: int = 1):
+    """Analyze every record of a validated Manifest, in manifest order.
 
-    It plans, submits and reduces, as ``cli.run_corpus`` does per record.
-    The calling process reads only the WAV header, and for float PCM scans
-    the raw samples for NaN or infinity in bounded blocks.  The windows are
-    cut into contiguous chunks of about ``_CHUNK_SAMPLES`` samples, and each
-    chunk's frames are decoded by the process that analyses it: a worker of
-    ``pool``, or without one, the calling process, one chunk at a time.
-    ``signal`` skips the file: each chunk then carries its slice of these
-    samples.  The report does not depend on ``pool``: results are taken back
-    in window order and the mean h(q) and r^2 are summed in that order.
-    Audio and plan errors propagate with the rendition identified, window
-    errors with the rendition, part and window.
+    Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
+    the MfaudioError that aborted entry i, and failures lists the errors.
+    Every record is planned first (header, spans, chunk tasks), then every
+    record's chunks are mapped as one stream, and the records are reduced
+    in manifest order.  With ``min(jobs, os.cpu_count())`` above 1,
+    ``pool.map`` queues every chunk at once on a pool of that many forked
+    worker processes, which inherit the detrending bases built here first;
+    else builtin ``map`` runs each chunk in this process when its record is
+    reduced.  Outcomes do not depend on ``jobs``.  An unexpected exception
+    cancels the chunks not yet started.
+    """
+    _check_jobs(jobs)
+    workers = min(jobs, os.cpu_count() or 1)
+    plans = [_kept(_plan_rendition, record) for record in manifest.records]
+    pool = None
+    if workers > 1:
+        # threads serialise on the interpreter lock over a window's small
+        # numpy calls.  Forked workers inherit the imported modules and the
+        # bases, which spawned ones would build again; the pool forks them
+        # all at its first submit, before it starts a thread of its own.
+        _warm_bases((n, p.record.config) for p in plans if not isinstance(p, MfaudioError)
+                    for n in {b - a for part in p.spans for a, b in part})
+        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+    mapper = map if pool is None else pool.map
+    try:
+        # every map is called before any record is reduced: pool.map
+        # submits its chunks at once, and yields their results in order
+        streams = [p if isinstance(p, MfaudioError) else (p, mapper(_analyze_windows, p.tasks))
+                   for p in plans]
+        outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, *s)
+                    for s in streams]
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    failures = [o for o in outcomes if isinstance(o, MfaudioError)]
+    return outcomes, failures
+
+
+def _check_jobs(jobs: int) -> None:
+    if jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
+def _kept(step, *args):
+    """``step(*args)``, or the MfaudioError it raised."""
+    try:
+        return step(*args)
+    except MfaudioError as err:
+        return err
+
+
+def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> RenditionReport:
+    """Run MFDFA over every window of every part of one recording in this process.
+
+    It plans and reduces one record as ``run_corpus`` does, with builtin
+    ``map`` over the chunks.  Only the WAV header is read up front, and for
+    float PCM the raw samples are scanned for NaN or infinity in bounded
+    blocks.  The windows are cut into contiguous chunks of about
+    ``_CHUNK_SAMPLES`` samples, each decoded from the file when it is
+    reached.  ``signal`` skips the file: each chunk then carries its slice
+    of these samples.  Audio and plan errors propagate with the rendition
+    identified, window errors with the rendition, part and window.
     """
     plan = _plan_rendition(record, signal)
-    return _reduce_rendition(plan, _submit_chunks(plan, pool))
+    return _reduce_rendition(plan, map(_analyze_windows, plan.tasks))
 
 
 class _RenditionPlan(NamedTuple):
     record: RenditionRecord
     spans: list[list[tuple[int, int]]]
-    tasks: list[tuple]  # the arguments of _analyze_windows, chunk by chunk
+    tasks: list[tuple]  # one _analyze_windows task per chunk
 
 
 def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _RenditionPlan:
@@ -233,19 +286,10 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _R
     return _RenditionPlan(record, spans, tasks)
 
 
-def _submit_chunks(plan: _RenditionPlan, pool: Executor | None) -> Iterator:
-    """The plan's window outcomes, read in window order so that the first
-    error is the one the serial path raises.  Every chunk is submitted to
-    ``pool`` at once; without a pool each runs when it is reached."""
-    if pool is None:
-        return (outcome for task in plan.tasks for outcome in _analyze_windows(*task))
-    futures = [pool.submit(_analyze_windows, *task) for task in plan.tasks]
-    return (outcome for future in futures for outcome in future.result())
-
-
-def _reduce_rendition(plan: _RenditionPlan, analyzed: Iterator) -> RenditionReport:
-    """The plan's report from its window outcomes; a window error is raised."""
-    record = plan.record
+def _reduce_rendition(plan: _RenditionPlan, chunks: Iterable[list]) -> RenditionReport:
+    """The plan's report from its chunks' window outcomes, read in window
+    order so that a window error raised is the first one."""
+    record, analyzed = plan.record, chain.from_iterable(chunks)
     parts: list[PartResult] = []
     h_sum = r2_sum = None
     h_count = 0
@@ -280,10 +324,10 @@ def _chunks(windows: list[tuple[int, int, int]]) -> list[list[tuple[int, int, in
 
 
 def _analyze_windows(
-    source: _WavLayout | np.ndarray, windows: list[tuple[int, int, int]], config: MfdfaConfig
+    task: tuple[_WavLayout | np.ndarray, list[tuple[int, int, int]], MfdfaConfig]
 ) -> list[tuple[WindowResult, HurstCurve | None] | MfaudioError]:
     """``_analyze_window`` over one chunk's (start, stop, window index)
-    spans, in order.
+    spans, in order; ``task`` is (source, spans, config).
 
     The chunk's samples, from the first span's start to the last span's
     stop, are read once: decoded from the WAV that ``source`` lays out, or
@@ -291,6 +335,7 @@ def _analyze_windows(
     window's ``MfaudioError`` is returned in its place, not raised, so the
     caller can name the window; the windows after it are skipped.
     """
+    source, windows, config = task
     base = windows[0][0]
     if isinstance(source, np.ndarray):
         samples = source

@@ -308,15 +308,6 @@ def write_wav(path: str | Path, signal: Signal, encoding: str = "float32") -> No
         handle.write(body)
 
 
-def extract_clip(signal: Signal, start: float, length: float) -> Signal:
-    """Contiguous sub-signal of ``length`` seconds starting at ``start``.
-
-    Sample indices are floor(start * rate) .. floor((start + length) * rate).
-    """
-    i0, i1 = _clip_span(len(signal), signal.sample_rate, start, length)
-    return Signal(signal.samples[i0:i1], signal.sample_rate)
-
-
 def partition_windows(signal: Signal, plan: WindowPlan) -> list[list[Signal]]:
     """Cut a signal into the plan's parts, each a list of window Signals.
 
@@ -329,30 +320,20 @@ def partition_windows(signal: Signal, plan: WindowPlan) -> list[list[Signal]]:
             for part in _window_spans(len(signal), rate, plan)]
 
 
-def _clip_span(n_samples: int, rate: float, start: float, length: float) -> tuple[int, int]:
-    """[start, stop) sample indices of a clip of ``n_samples`` at ``rate``."""
-    if start < 0:
-        raise ClipBoundsError(f"clip start {start:g} s is negative")
-    if length <= 0:
-        raise ClipBoundsError(f"clip length {length:g} s is not positive")
-    i0 = math.floor(start * rate + _FLOOR_GUARD)
-    i1 = math.floor((start + length) * rate + _FLOOR_GUARD)
-    if i1 > n_samples:
-        raise ClipBoundsError(
-            f"clip [{start:g} s, {start + length:g} s) ends beyond the "
-            f"{n_samples / rate:g} s signal"
-        )
-    if i1 <= i0:
-        raise EmptySignalError(f"clip of {length:g} s holds no samples at this rate")
-    return i0, i1
-
-
 def _window_spans(n_samples: int, rate: float, plan: WindowPlan) -> list[list[tuple[int, int]]]:
     """The plan's windows as [start, stop) indices into ``n_samples``
     samples at ``rate``, part by part; a window is cut at the clip's end."""
     if plan.required_seconds > n_samples / rate + 1e-9:
         raise InsufficientAudioError(plan.required_seconds, n_samples / rate)
-    i0, i1 = _clip_span(n_samples, rate, plan.clip_start, plan.clip_length)
+    i0 = math.floor(plan.clip_start * rate + _FLOOR_GUARD)
+    i1 = math.floor(plan.required_seconds * rate + _FLOOR_GUARD)
+    if i1 > n_samples:  # the 1e-9 s above can span a sample at a high rate
+        raise ClipBoundsError(
+            f"clip [{plan.clip_start:g} s, {plan.required_seconds:g} s) ends beyond the "
+            f"{n_samples / rate:g} s signal"
+        )
+    if i1 <= i0:
+        raise EmptySignalError(f"clip of {plan.clip_length:g} s holds no samples at this rate")
 
     part_samples = math.floor(plan.part_length * rate + _FLOOR_GUARD)
     window_samples = math.floor(plan.window_length * rate + _FLOOR_GUARD)

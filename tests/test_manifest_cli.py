@@ -22,7 +22,7 @@ from mfaudio import (
     validate_manifest,
     write_wav,
 )
-from mfaudio import analysis, cli, pipeline
+from mfaudio import analysis, pipeline
 from mfaudio.cli import main
 from mfaudio.manifest import build_q_grid, parse_scale_rule
 
@@ -287,6 +287,27 @@ def test_manifest_rejects_unknown_settings(tmp_path):
     assert "q_minimum" in str(err.value)
 
 
+@pytest.mark.parametrize("where, key, value, violation", [
+    (("defaults",), "mfdfa", [["q_min", -3.0]], "'defaults.mfdfa' must be an object"),
+    (("defaults",), "window_plan", "ab", "'defaults.window_plan' must be an object"),
+    (("defaults",), "window-plan", {}, "defaults: unknown key(s): window-plan"),
+    (("defaults",), "mfdfa", {"q_minimum": -3}, "defaults.mfdfa: unknown key(s): q_minimum"),
+    ((), "outptu_dir", "out", "manifest: unknown key(s): outptu_dir"),
+    (("entries", 0), "mfdfa", [["q_min", -3.0]], "'entries[0].mfdfa' must be an object"),
+], ids=["pairs", "string", "unknown-section", "unknown-setting", "unknown-top-key", "entry-pairs"])
+def test_a_section_that_is_not_an_object_or_an_unknown_key_exits_2(
+        tmp_path, capsys, where, key, value, violation):
+    # these were coerced, ignored, or reported once per entry
+    path, doc = write_corpus(tmp_path, n_entries=2)
+    section = doc
+    for step in where:
+        section = section[step]
+    section[key] = value
+    rewrite(path, doc)
+    assert main(["run", "--manifest", str(path), "--dry-run"]) == 2
+    assert capsys.readouterr().err == f"manifest error: {violation}\n"
+
+
 def test_grid_helpers():
     assert np.allclose(build_q_grid(-5, 5, 0.25), np.linspace(-5, 5, 41))
     scales = parse_scale_rule("16:1024:7")
@@ -385,7 +406,7 @@ def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         requested.append((max_workers, mp_context.get_start_method()))
         return ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording_pool)
     path, _ = write_corpus(tmp_path, n_entries=1)
     for jobs in (1, 100000):
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
@@ -439,7 +460,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
             sizes.append(len(pickle.dumps((fn, args, kwargs))))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", MeasuringPool)
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", MeasuringPool)
     path, _ = write_corpus(tmp_path, n_entries=1, rate=22050.0, seconds=60.0)
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
@@ -510,7 +531,7 @@ def test_serial_run_builds_no_more_bases_than_window_order_needs(tmp_path):
     assert in_window_order > analysis._BASIS_CACHE_SIZE
 
     analysis._detrend_basis.cache_clear()
-    outcomes, failures = cli.run_corpus(manifest, jobs=1)
+    outcomes, failures = pipeline.run_corpus(manifest, jobs=1)
     assert failures == []
     assert analysis._detrend_basis.cache_info().misses == in_window_order
 
@@ -518,8 +539,12 @@ def test_serial_run_builds_no_more_bases_than_window_order_needs(tmp_path):
 @needs_two_cpus
 def test_one_stream_keeps_every_outcome_at_any_jobs(tmp_path, capsys):
     # entry 2's truncated header fails while its record is planned; entries
-    # 1 (4 kHz) and 3 (8 kHz) have windows of two lengths and still run
+    # 1 (4 kHz) and 3 (8 kHz) have windows of two lengths and still run, and
+    # entry 1's silenced part 2 window 1 is flagged
     path, _ = write_corpus(tmp_path, n_entries=3)
+    samples = gen_cascade_noise(24 * 4000, 0.7, 50, 4000.0).samples.copy()
+    samples[12 * 4000 : 18 * 4000] = 0.0
+    write_wav(tmp_path / "take0.wav", Signal(samples, 4000.0), "float32")
     broken = tmp_path / "take1.wav"
     broken.write_bytes(broken.read_bytes()[:20])
     write_wav(tmp_path / "take2.wav", gen_cascade_noise(24 * 8000, 0.7, 52, 8000.0), "float32")
@@ -537,6 +562,9 @@ def test_one_stream_keeps_every_outcome_at_any_jobs(tmp_path, capsys):
     assert [(row[1], row[4]) for row in rows] == [
         ("artist-0", "1"), ("artist-0", "2"), ("artist-2", "1"), ("artist-2", "2"),
     ]
+    rows = read_csv(tmp_path / "out1" / "windows.csv")[1:]
+    assert [row[12] for row in rows] == ["false", "false", "true", "false"] + ["false"] * 4
+    assert "zero fluctuation" in rows[2][13]
 
 
 @needs_two_cpus

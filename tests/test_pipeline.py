@@ -1,6 +1,5 @@
 import math
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
 import numpy as np
@@ -28,6 +27,7 @@ from mfaudio import (
 )
 from mfaudio import pipeline
 from mfaudio.errors import NonFiniteDataError
+from mfaudio.manifest import Manifest
 
 
 def make_record(tmp_path, signal, name="take.wav", **kwargs):
@@ -114,13 +114,13 @@ def test_pool_changes_no_bits(tmp_path):
     record = make_record(tmp_path, Signal(samples, 4000.0))
     serial = analyze_rendition(record)
     assert [w.flagged for p in serial.parts for w in p.windows] == [False, False, True, False]
-    with ThreadPoolExecutor(3) as pool:
-        pooled = analyze_rendition(record, pool=pool)
+    manifest = Manifest((record,), None, tmp_path / "manifest.json")
+    (pooled,), failures = pipeline.run_corpus(manifest, jobs=2)
+    assert failures == []
     assert_same_report(serial, pooled)
 
 
-@pytest.mark.parametrize("pooled", [False, True])
-def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch, pooled):
+def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch):
     sig = gen_cascade_noise(36 * 4000, 0.7, 5, 4000.0)
     record = make_record(
         tmp_path, sig,
@@ -136,11 +136,7 @@ def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch, poo
 
     monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
     with pytest.raises(NonFiniteDataError) as err:
-        if pooled:
-            with ThreadPoolExecutor(2) as pool:
-                analyze_rendition(record, pool=pool)
-        else:
-            analyze_rendition(record)
+        analyze_rendition(record)
     assert str(err.value) == "rendition song-a-artist-a-1950 part 2 window 3: injected"
 
 

@@ -19,7 +19,6 @@ from mfaudio import (
     WavFormatError,
     WindowPlan,
     decode_wav,
-    extract_clip,
     partition_windows,
     write_wav,
 )
@@ -377,25 +376,29 @@ def test_window_plan_accepts_numpy_scalars():
     assert plan.windows_per_part == 4
 
 
-def test_extract_clip_identity():
-    sig = Signal(np.arange(1, 101, dtype=float), 10.0)
-    clip = extract_clip(sig, 0.0, sig.duration)
-    assert np.array_equal(clip.samples, sig.samples)
+def test_window_spans_sample_arithmetic():
+    # 180 s at 22050 Hz from 10 s on -> 180 * 22050 samples from 220,500 on
+    plan = WindowPlan(clip_start=10.0, clip_length=180.0, part_count=1, part_length=180.0,
+                      window_length=180.0)
+    [[(start, stop)]] = signal_io._window_spans(200 * 22050, 22050.0, plan)
+    assert (start, stop - start) == (220_500, 3_969_000)
 
 
-def test_extract_clip_sample_arithmetic():
-    # 180 s at 22050 Hz -> 180 * 22050 samples
-    sig = Signal(np.ones(200 * 22050), 22050.0)
-    clip = extract_clip(sig, 10.0, 180.0)
-    assert len(clip) == 3_969_000
-
-
-def test_extract_clip_out_of_range():
-    sig = Signal(np.ones(100), 10.0)
+def test_window_spans_clip_bounds():
+    # at 2 GHz the 1e-9 s tolerance of the InsufficientAudioError check
+    # spans two samples: a 1.5 ns clip of a 1 ns signal passes it, and
+    # ends at sample 3 of 2
+    plan = WindowPlan(clip_length=1.5e-9, part_count=1, part_length=1.5e-9, window_length=1.5e-9)
     with pytest.raises(ClipBoundsError):
-        extract_clip(sig, 9.0, 2.0)
-    with pytest.raises(ClipBoundsError):
-        extract_clip(sig, -1.0, 1.0)
+        signal_io._window_spans(2, 2e9, plan)
+    # a clip cannot start before the signal
+    with pytest.raises(ConfigError, match="clip_start must be >= 0"):
+        WindowPlan(clip_start=-1.0, clip_length=1.0, part_count=1, part_length=1.0,
+                   window_length=1.0)
+    # 10 ms at 10 Hz holds no sample
+    plan = WindowPlan(clip_length=0.01, part_count=1, part_length=0.01, window_length=0.01)
+    with pytest.raises(EmptySignalError):
+        signal_io._window_spans(10, 10.0, plan)
 
 
 def test_partition_six_parts_five_windows():
