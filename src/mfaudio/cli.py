@@ -195,9 +195,9 @@ def _cmd_synth(args) -> int:
         problem = "generations and parts must be >= 1"
     elif args.seed < 0:
         problem = "seed must be >= 0"
-    elif not (args.rate > 0 and args.rate.is_integer()
+    elif not (0 < args.rate < 2**30 and args.rate.is_integer()  # float32 byte rate < 2^32
               and 2 <= args.duration * args.rate < math.inf):
-        problem = "rate must be a whole number of Hz > 0, and duration * rate at least 2 samples"
+        problem = "rate must be a whole number of Hz in (0, 2^30), and duration * rate at least 2 samples"
     elif not 0 < args.parts * args.window_seconds <= args.duration:
         problem = "parts * window-seconds must be positive and at most the duration"
     else:

@@ -22,7 +22,7 @@ from mfaudio import (
     validate_manifest,
     write_wav,
 )
-from mfaudio import analysis, pipeline
+from mfaudio import analysis, cli, pipeline
 from mfaudio.cli import main
 from mfaudio.manifest import build_q_grid, parse_scale_rule
 
@@ -822,6 +822,32 @@ def test_synth_fractional_rate_exits_2(tmp_path, capsys):
     assert code == 2
     assert "synth error: rate" in capsys.readouterr().err
     assert not corpus.exists()
+
+
+@pytest.mark.parametrize("rate", ["1073741824", "1100000000"])
+def test_synth_rate_past_the_wav_byte_rate_exits_2_before_generating(tmp_path, capsys, monkeypatch, rate):
+    # a float32 WAV stores rate * 4 bytes/s in 32 bits; this used to be found
+    # by write_wav after every sample was generated, leaving audio/ behind
+    def never(*args, **kwargs):
+        raise AssertionError("a generator ran")
+
+    for name in ("gen_cascade_noise", "gen_fgn_prefix", "cascade_masses"):
+        monkeypatch.setattr(cli, name, never)
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--kind", "fgn", "--rate", rate,
+                 "--duration", "0.00001", "--parts", "1", "--window-seconds", "0.000001"])
+    assert code == 2
+    assert "synth error: rate" in capsys.readouterr().err
+    assert not corpus.exists()
+
+
+def test_synth_accepts_the_highest_float32_wav_rate(tmp_path):
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--generations", "1", "--rate", str(2**30 - 1),
+                 "--duration", "0.00001", "--parts", "1", "--window-seconds", "0.000001"])
+    assert code == 0
+    header = (corpus / "audio" / "gen01.wav").read_bytes()[:44]
+    assert struct.unpack_from("<II", header, 24) == (2**30 - 1, (2**30 - 1) * 4)
 
 
 def test_synth_negative_seed_exits_2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +116,61 @@ def test_fgn_spec_validation():
         FgnSpec(1.2, 1024, 0)
     with pytest.raises(ConfigError):
         FgnSpec(0.7, 1000, 0)  # not a power of two
+
+
+def _davies_harte_reference(spec):
+    """Reference fGn: the full 2n-entry Hermitian spectrum and complex FFTs."""
+    n, m = spec.length, 2 * spec.length
+    gamma = fgn_autocovariance(spec.hurst, np.arange(n + 1))
+    lam = np.clip(np.fft.fft(np.concatenate([gamma, gamma[-2:0:-1]])).real, 0.0, None)
+    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    u = rng.standard_normal(n + 1)
+    v = rng.standard_normal(n - 1)
+    w = np.zeros(m, dtype=complex)
+    w[0] = math.sqrt(lam[0] / m) * u[0]
+    w[n] = math.sqrt(lam[n] / m) * u[n]
+    w[1:n] = np.sqrt(lam[1:n] / (2.0 * m)) * (u[1:n] + 1j * v)
+    w[n + 1 :] = np.conj(w[n - 1 : 0 : -1])
+    return np.fft.fft(w).real[:n]
+
+
+@pytest.mark.parametrize("length", [2, 4, 8, 2**10, 2**16])
+@pytest.mark.parametrize("hurst", [0.1, 0.55, 0.9, 0.99])
+def test_fgn_matches_the_full_spectrum_reference(hurst, length):
+    # lengths 2 and 4 are the edges of the half-spectrum indexing
+    spec = FgnSpec(hurst, length, 3)
+    diff = np.abs(gen_fgn(spec).samples - _davies_harte_reference(spec))
+    assert diff.max() <= 1e-13
+
+
+def test_fgn_peak_memory():
+    # the full complex spectrum and its FFT took 15.1x the output at 2^20
+    n = 2**20
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        gen_fgn(FgnSpec(0.55, n, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 8 * n, f"{peak / 2**20:.1f} MiB"
+
+
+@pytest.mark.parametrize("hurst", [0.1, 0.25, 0.5, 0.55, 0.75, 0.9, 0.99])
+def test_autocovariance_bytes_match_one_expression(hurst):
+    # in-place evaluation must round exactly like the plain expression;
+    # H = 0.25 and 0.5 hit numpy's fast paths for k ** 0.5 and k ** 1
+    lags = np.arange(2**16 + 1)
+    k = np.abs(lags.astype(float))
+    two_h = 2.0 * hurst
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inv = 1.0 / k
+        gamma = 0.5 * k**two_h * (
+            np.expm1(two_h * np.log1p(inv)) + np.expm1(two_h * np.log1p(-inv))
+        )
+    expected = np.where(k == 0, 1.0, gamma)
+    assert fgn_autocovariance(hurst, lags).tobytes() == expected.tobytes()
+    assert fgn_autocovariance(hurst, 3).shape == ()
 
 
 def test_fgn_lag_one_autocorrelation():
