@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MfdfaConfig, check_spectrum_grid, default_q_grid
+from .analysis import MfdfaConfig, _distinct, check_spectrum_grid, default_q_grid
 from .errors import ConfigError, ManifestError, MfaudioError, check_type
 from .pipeline import RenditionRecord, _slug
 from .signal_io import WindowPlan
@@ -64,7 +64,7 @@ def parse_scale_rule(text: str) -> np.ndarray:
         raise ConfigError(f"scales rule {text!r} is not MIN:MAX:COUNT") from None
     if not (0 < lo < hi and count >= 2):
         raise ConfigError(f"scales rule {text!r} needs 0 < MIN < MAX and COUNT >= 2")
-    return np.unique(np.rint(np.geomspace(lo, hi, count)).astype(int))
+    return _distinct(np.rint(np.geomspace(lo, hi, count)).astype(int))
 
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:

@@ -7,8 +7,9 @@ header alone; every window gets a full MFDFA pass in ``_analyze_window``,
 a pure function of the window and its config, so the windows of every
 recording are mapped as one stream of contiguous chunks, by builtin
 ``map`` or over a pool of forked worker processes.  A chunk travels as
-its spans; the process that analyses it decodes its frames from the
-file, and each window's error comes back as a value.  The results are
+its spans; the process that analyses it decodes each window's frames
+from the file when it reaches that window, and each window's error comes
+back as a value.  The results are
 reduced in window order after the map, which keeps every mean
 bit-identical for any pool size.  Windows whose analysis degenerates
 (digital silence, a non-concave spectrum) are flagged with the reason
@@ -57,11 +58,11 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# Windows are decoded and analysed in contiguous chunks of about this many
-# samples (six chunks of 30 one-second windows for a 180 s clip at 8 kHz),
-# about 2 MiB of float64 at a time: a task per window pays inter-process
-# traffic per window, and chunks sized by samples, not by part, still split
-# a one-part clip across the workers.
+# Windows go to the map in contiguous chunks of about this many samples
+# (six chunks of 30 one-second windows for a 180 s clip at 8 kHz); a chunk
+# sets only the task size, since each window is decoded on its own: a task
+# per window pays inter-process traffic per window, and chunks sized by
+# samples, not by part, still split a one-part clip across the workers.
 # On two cores 2**16 to 2**18 timed alike; 2**19 loaded the workers unevenly.
 _CHUNK_SAMPLES = 2**18
 
@@ -195,7 +196,7 @@ def run_corpus(manifest, jobs: int = 1):
     the MfaudioError that aborted entry i, and failures lists the errors.
     Every record is planned first (header, spans, chunk tasks), then every
     record's chunks are mapped as one stream, and the records are reduced
-    in manifest order.  With ``min(jobs, os.cpu_count())`` above 1,
+    in manifest order.  With ``min(jobs, _usable_cpus())`` above 1,
     ``pool.map`` queues every chunk at once on a pool of that many forked
     worker processes, which inherit the detrending bases built here first;
     else builtin ``map`` runs each chunk in this process when its record is
@@ -203,7 +204,7 @@ def run_corpus(manifest, jobs: int = 1):
     cancels the chunks not yet started.
     """
     _check_jobs(jobs)
-    workers = min(jobs, os.cpu_count() or 1)
+    workers = min(jobs, _usable_cpus())
     plans = [_kept(_plan_rendition, record) for record in manifest.records]
     pool = None
     if workers > 1:
@@ -232,6 +233,14 @@ def run_corpus(manifest, jobs: int = 1):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    has one (a cpuset or ``taskset`` narrows it), else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _kept(step, *args):
@@ -329,22 +338,23 @@ def _analyze_windows(
     """``_analyze_window`` over one chunk's (start, stop, window index)
     spans, in order; ``task`` is (source, spans, config).
 
-    The chunk's samples, from the first span's start to the last span's
-    stop, are read once: decoded from the WAV that ``source`` lays out, or
-    taken from ``source`` itself, an array of just those samples.  A
-    window's ``MfaudioError`` is returned in its place, not raised, so the
-    caller can name the window; the windows after it are skipped.
+    Each window's samples are read when it is reached: decoded from the
+    WAV that ``source`` lays out, so the chunk holds one window's samples
+    at a time, or sliced from ``source`` itself, an array of the chunk's
+    samples from the first span's start to the last span's stop.  A
+    window's ``MfaudioError`` is returned in its place, not raised, so
+    the caller can name the window; the windows after it are skipped.
     """
     source, windows, config = task
     base = windows[0][0]
-    if isinstance(source, np.ndarray):
-        samples = source
-    else:
-        samples = _decode_frames(source, base, windows[-1][1])
     outcomes: list = []
     for a, b, w_idx in windows:
         try:
-            outcomes.append(_analyze_window(samples[a - base:b - base], config, w_idx))
+            # read inside the call, so no name keeps one window's samples
+            # alive while the next one is decoded
+            outcomes.append(_analyze_window(
+                source[a - base:b - base] if isinstance(source, np.ndarray)
+                else _decode_frames(source, a, b), config, w_idx))
         except MfaudioError as err:
             outcomes.append(err)
             break

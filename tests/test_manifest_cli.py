@@ -399,6 +399,12 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     requested = []
 
@@ -412,12 +418,23 @@ def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
                      "--jobs", str(jobs)])
         assert code == 0
-    cpus = os.cpu_count() or 1
+    cpus = usable_cpus()
     # --jobs 1 runs in this process and builds no pool
     assert requested == ([(cpus, "fork")] if cpus > 1 else [])
 
 
-needs_two_cpus = pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two workers")
+def test_jobs_is_capped_at_the_cpus_this_process_may_use(tmp_path, monkeypatch):
+    # a cpuset or taskset of one CPU leaves one worker, whatever the machine has
+    requested = []
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", lambda **kw: requested.append(kw))
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
+                 "--jobs", "2"]) == 0
+    assert requested == []
+
+
+needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="needs two workers")
 
 
 @needs_two_cpus

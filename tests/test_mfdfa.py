@@ -44,6 +44,7 @@ from mfaudio import (
 from mfaudio.analysis import (
     _BASIS_CACHE_SIZE,
     _detrend_basis,
+    _distinct,
     _scale_fluctuations,
     _segment_msq,
     _warm_bases,
@@ -202,6 +203,35 @@ def test_warm_bases_builds_what_the_analysis_uses_up_to_the_cache_size():
     assert _detrend_basis.cache_info().misses == 0
 
 
+def _pairwise_gram(a, b):
+    """a^T b from numpy's pairwise sums: a BLAS dot of a long constant
+    column accumulates rounding of order s eps, too much for 1e-12."""
+    return np.array([[np.sum(u * v) for v in b.T] for u in a.T])
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 8])
+@pytest.mark.parametrize("size", ["m+2", 16, 1000, 33075])
+def test_detrend_basis_is_orthonormal_and_spans_the_polynomials(order, size, monkeypatch):
+    s = order + 2 if size == "m+2" else size
+    x = (2.0 * np.arange(s) - (s - 1)) / (s - 1)
+    reference = np.linalg.qr(x[:, np.newaxis] ** np.arange(order + 1))[0]
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the detrending basis calls np.linalg.qr")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
+    _detrend_basis.cache_clear()
+    basis = _detrend_basis(s, order)
+    assert basis.shape == (s, order + 1) and basis.flags.c_contiguous
+    np.testing.assert_allclose(_pairwise_gram(basis, basis), np.eye(order + 1),
+                               rtol=0, atol=1e-12)
+    # two orthogonal projectors of equal rank differ in spectral norm by
+    # |(I - R R^T) Q|, which bounds every entry of Q Q^T - R R^T without
+    # forming either s x s matrix
+    outside = basis - reference @ _pairwise_gram(reference, basis)
+    assert np.linalg.norm(outside, 2) <= 1e-12
+
+
 def test_fluctuation_function_unidirectional_counts():
     prof = compute_profile(np.random.default_rng(1).standard_normal(256))
     config = MfdfaConfig(scales=[8, 16, 32, 64], bidirectional=False)
@@ -350,6 +380,37 @@ def test_order_one_fluctuation_matches_extended_precision_on_cascade():
         expected = (resid * resid).mean(axis=1)
         rel = np.abs(_segment_msq(segments, 1) - expected) / expected
         assert float(rel.max()) <= 1e-10, f"s={s}"
+
+
+@pytest.mark.parametrize("values", [
+    [], [3.0], [2, 2, 2], [5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [0.5, -0.0, 0.0, 0.5, -1e-300],
+])
+def test_distinct_matches_np_unique(values):
+    values = np.array(values)
+    got, expected = _distinct(values), np.unique(values)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_analysis_leaves_numpy_ma_unimported():
+    # numpy 2's np.unique imports numpy.ma at its first call (about 1.6 MiB
+    # of peak RSS); numpy 1 imports it with numpy itself
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = 'numpy.ma' in sys.modules\n"
+        "from mfaudio import gen_cascade_noise, mfdfa\n"
+        "from mfaudio.manifest import parse_scale_rule\n"
+        "mfdfa(gen_cascade_noise(4096, 0.7, 1))\n"
+        "parse_scale_rule('16:512:8')\n"
+        "print(before, 'numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(mfaudio.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    before, after = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, check=True, text=True,
+    ).stdout.split()
+    assert after == before
 
 
 def test_fluctuation_bytes_do_not_depend_on_blas_threads():

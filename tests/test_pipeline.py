@@ -190,6 +190,27 @@ def test_rendition_memory_follows_the_chunk_not_the_file(tmp_path):
     assert peak < 0.5 * n * 8, f"{peak / 1e6:.1f} MB"
 
 
+def test_chunk_holds_one_window_at_a_time(tmp_path):
+    # each window of a chunk is decoded when it is reached, so three more
+    # windows in the chunk add less than one window's samples to its peak
+    window = 24_000
+    record = make_record(tmp_path, gen_cascade_noise(4 * window, 0.7, 8, 4000.0))
+    layout = pipeline._wav_layout(record.audio_path)
+    spans = [(i * window, (i + 1) * window, i + 1) for i in range(4)]
+    config = MfdfaConfig()
+    pipeline._analyze_windows((layout, spans[:1], config))  # caches the bases
+    peaks = []
+    for chunk in (spans[:1], spans):
+        tracemalloc.start()
+        try:
+            outcomes = pipeline._analyze_windows((layout, chunk, config))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(outcomes) == len(chunk)
+    assert peaks[1] - peaks[0] < 8 * window, f"{peaks[0]} -> {peaks[1]} bytes"
+
+
 def test_stationary_fgn_has_homogeneous_parts():
     # 180 s of H = 0.7 fGn at 22050 Hz under the six-part default plan:
     # stationarity keeps the part mean widths within +-0.1 of each other

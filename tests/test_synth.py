@@ -201,6 +201,16 @@ def test_fgn_prefix_truncates_a_power_of_two():
     assert np.array_equal(sig.samples, full.samples[:3000])
 
 
+def test_fgn_samples_keep_no_transform_alive():
+    # the signal owns its n samples, not a view of the 2n-sample irfft
+    # output, so a prefix holds no more than its power-of-two length
+    sig = gen_fgn(FgnSpec(0.55, 2**12, 1))
+    assert sig.samples.flags.owndata
+    prefix = gen_fgn_prefix(0.55, 3000, 1).samples
+    held = prefix if prefix.base is None else prefix.base
+    assert held.nbytes <= 8 * 4096
+
+
 def test_shuffle_preserves_multiset():
     sig = gen_fgn(FgnSpec(0.8, 2**10, 3))
     mixed = shuffle(sig, 17)
