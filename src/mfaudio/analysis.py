@@ -68,11 +68,14 @@ def default_q_grid() -> np.ndarray:
 
 
 def _distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values of a 1-D array without NaN, as ``np.unique``
-    gives them.  numpy 2's ``np.unique`` imports ``numpy.ma`` at its first
-    call, about 1.6 MiB of peak RSS that a run needs for nothing else."""
+    """Sorted distinct values of a 1-D array, as ``np.unique`` gives them:
+    NaNs, sorted last, count as one value.  numpy 2's ``np.unique`` imports
+    ``numpy.ma`` at its first call, about 1.6 MiB of peak RSS that a run
+    needs for nothing else."""
     v = np.sort(values)
-    return np.concatenate((v[:1], v[1:][v[1:] != v[:-1]]))
+    new = v[1:] != v[:-1]
+    new &= ~np.isnan(v[:-1])
+    return np.concatenate((v[:1], v[1:][new]))
 
 
 def default_scale_grid(n: int) -> np.ndarray:

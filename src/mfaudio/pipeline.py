@@ -258,10 +258,10 @@ def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> 
     ``map`` over the chunks.  Only the WAV header is read up front, and for
     float PCM the raw samples are scanned for NaN or infinity in bounded
     blocks.  The windows are cut into contiguous chunks of about
-    ``_CHUNK_SAMPLES`` samples, each decoded from the file when it is
-    reached.  ``signal`` skips the file: each chunk then carries its slice
-    of these samples.  Audio and plan errors propagate with the rendition
-    identified, window errors with the rendition, part and window.
+    ``_CHUNK_SAMPLES`` samples, and each window is decoded from the file
+    when it is reached.  ``signal`` skips the file: each chunk then carries
+    its slice of these samples.  Audio and plan errors propagate with the
+    rendition identified, window errors with the rendition, part and window.
     """
     plan = _plan_rendition(record, signal)
     return _reduce_rendition(plan, map(_analyze_windows, plan.tasks))

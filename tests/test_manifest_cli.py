@@ -399,12 +399,6 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
-def usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
     requested = []
 
@@ -418,7 +412,7 @@ def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
                      "--jobs", str(jobs)])
         assert code == 0
-    cpus = usable_cpus()
+    cpus = pipeline._usable_cpus()
     # --jobs 1 runs in this process and builds no pool
     assert requested == ([(cpus, "fork")] if cpus > 1 else [])
 
@@ -434,7 +428,7 @@ def test_jobs_is_capped_at_the_cpus_this_process_may_use(tmp_path, monkeypatch):
     assert requested == []
 
 
-needs_two_cpus = pytest.mark.skipif(usable_cpus() < 2, reason="needs two workers")
+needs_two_cpus = pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs two workers")
 
 
 @needs_two_cpus
@@ -516,15 +510,18 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 def test_no_worker_builds_a_detrend_basis(tmp_path, monkeypatch):
     # run_corpus builds every basis before the pool forks its workers, so
     # a worker that had to build one itself fails the run with status 3
-    analysis._detrend_basis.cache_clear()
-    main_pid, real_qr = os.getpid(), np.linalg.qr
+    real_basis = analysis._detrend_basis
+    real_basis.cache_clear()
+    main_pid = os.getpid()
 
-    def main_process_qr(*args, **kwargs):
-        if os.getpid() != main_pid:
+    def main_process_basis(s, order):
+        misses = real_basis.cache_info().misses
+        basis = real_basis(s, order)
+        if os.getpid() != main_pid and real_basis.cache_info().misses > misses:
             raise RuntimeError("a worker built a detrending basis")
-        return real_qr(*args, **kwargs)
+        return basis
 
-    monkeypatch.setattr(np.linalg, "qr", main_process_qr)
+    monkeypatch.setattr(analysis, "_detrend_basis", main_process_basis)
     path, _ = write_corpus(tmp_path, n_entries=2)
     assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == 0

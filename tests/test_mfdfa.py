@@ -384,11 +384,12 @@ def test_order_one_fluctuation_matches_extended_precision_on_cascade():
 
 @pytest.mark.parametrize("values", [
     [], [3.0], [2, 2, 2], [5, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5], [0.5, -0.0, 0.0, 0.5, -1e-300],
+    [math.nan], [math.nan, 1.0, math.nan, -math.inf, math.inf, math.inf, math.nan],
 ])
 def test_distinct_matches_np_unique(values):
     values = np.array(values)
     got, expected = _distinct(values), np.unique(values)
-    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected, equal_nan=True)
 
 
 def test_analysis_leaves_numpy_ma_unimported():
@@ -552,6 +553,14 @@ def test_width_requires_three_distinct_alphas():
         np.linspace(-2, 2, n), np.zeros(n), np.full(n, 0.5), np.ones(n), True
     )
     with pytest.raises(InsufficientSpectrumError):
+        spectrum_width(spec)
+
+
+def test_width_counts_nan_alphas_as_one_value():
+    # as np.unique counts them: one finite alpha and four NaNs are two values
+    alpha = np.array([math.nan, 0.4, math.nan, math.nan, math.nan])
+    spec = SingularitySpectrum(np.linspace(-2, 2, 5), np.zeros(5), alpha, np.ones(5), True)
+    with pytest.raises(InsufficientSpectrumError, match="3 distinct"):
         spectrum_width(spec)
 
 
