@@ -14,8 +14,10 @@ separator, fixed column order):
 
 ``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it maps the
 windows of every rendition, queued as one stream, over a pool of forked
-worker processes (capped at the CPU count); the outputs are identical
-for any N.
+worker processes (capped at ``pipeline._usable_cpus()``, the CPUs this
+process may run on); the outputs are identical for any N.  Before the run
+it pins glibc's malloc thresholds (``_pin_malloc_thresholds``), and the
+forked workers inherit them.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -30,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import json
 import math
 import os
@@ -128,6 +131,34 @@ def write_outputs(reports: list[RenditionReport], out_dir: Path) -> None:
     write_generation_tables(reports, out_dir)
 
 
+# glibc's mallopt parameters, and its 64-bit DEFAULT_MMAP_THRESHOLD_MAX:
+# the largest mmap threshold its own dynamic rule would ever reach
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_MAX = 32 * 2**20
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at twice
+    that, for this process and the workers it forks.
+
+    Left dynamic, glibc maps a window's large numpy temporaries afresh, or
+    grows the heap for them and trims it again when the window ends, so
+    each window faults its pages in again.  Pinned, blocks up to 32 MiB
+    come from the heap and stay there for the next window; a lower pin
+    would map afresh the temporaries of larger windows (a 6 s window at
+    96 kHz is 4.4 MiB of float64).  Only ``mfaudio run`` calls this: a
+    library caller's allocator is left alone.  Where libc has no
+    ``mallopt``, or it refuses the setting (returns 0), nothing changes.
+    """
+    # CDLL(None) opens the process's own symbols on POSIX systems only
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_MAX):
+        mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD_MAX)
+
+
 def _cmd_run(args) -> int:
     cli_plan: dict = {}
     if args.parts is not None:
@@ -161,6 +192,7 @@ def _cmd_run(args) -> int:
     if not out_dir.is_absolute() and args.out is None and manifest.output_dir is not None:
         out_dir = manifest.source_path.parent / out_dir
 
+    _pin_malloc_thresholds()
     outcomes, failures = run_corpus(manifest, jobs=args.jobs)
     reports = [o for o in outcomes if isinstance(o, RenditionReport)]
 
@@ -264,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="analyze a corpus manifest and emit CSV tables")
     run_p.add_argument("--manifest", required=True, help="path to the corpus manifest (JSON)")
     run_p.add_argument("--out", default=None, help="output directory (default: manifest output_dir, $MFAUDIO_OUT, or ./mfaudio-out)")
-    run_p.add_argument("--jobs", type=int, default=1, help="worker processes over windows, >= 1, capped at the CPU count; 1 runs in one process (outputs are identical for any value)")
+    run_p.add_argument("--jobs", type=int, default=1, help="worker processes over windows, >= 1, capped at the CPUs this process may use (its affinity set); 1 runs in one process (outputs are identical for any value)")
     run_p.add_argument("--dry-run", action="store_true", help="validate the manifest and exit")
     run_p.add_argument("--q-min", type=float, default=None)
     run_p.add_argument("--q-max", type=float, default=None)

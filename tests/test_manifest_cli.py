@@ -1,4 +1,5 @@
 import csv
+import ctypes
 import json
 import math
 import multiprocessing
@@ -8,6 +9,7 @@ import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -426,6 +428,76 @@ def test_jobs_is_capped_at_the_cpus_this_process_may_use(tmp_path, monkeypatch):
     assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == 0
     assert requested == []
+
+
+def recording_pin(monkeypatch):
+    """Calls to ``cli._pin_malloc_thresholds`` and ``run_corpus``, in order;
+    both still run."""
+    calls = []
+    real_pin, real_run_corpus = cli._pin_malloc_thresholds, cli.run_corpus
+
+    def pin():
+        calls.append("pin")
+        real_pin()
+
+    def run_corpus(*args, **kwargs):
+        calls.append("run_corpus")
+        return real_run_corpus(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_pin_malloc_thresholds", pin)
+    monkeypatch.setattr(cli, "run_corpus", run_corpus)
+    return calls
+
+
+def test_run_pins_the_malloc_thresholds_once_before_the_corpus(tmp_path, monkeypatch):
+    # before run_corpus, so that a forked worker inherits the thresholds
+    calls = recording_pin(monkeypatch)
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == ["pin", "run_corpus"]
+
+
+def test_only_the_run_command_touches_the_allocator(tmp_path, monkeypatch):
+    # a dry run, synth and library callers leave the allocator as they found it
+    calls = recording_pin(monkeypatch)
+    libc = []
+    real_cdll = ctypes.CDLL
+    monkeypatch.setattr(ctypes, "CDLL", lambda *args, **kwargs: libc.append(args) or real_cdll(*args, **kwargs))
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    assert main(["run", "--manifest", str(path), "--dry-run"]) == 0
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--duration", "12",
+                 "--rate", "4000", "--parts", "1", "--generations", "1"]) == 0
+    manifest = validate_manifest(path)
+    outcomes, failures = pipeline.run_corpus(manifest)
+    assert failures == []
+    pipeline.analyze_rendition(manifest.records[0])
+    assert calls == [] and libc == []
+
+
+def refusing_libc():
+    """A libc whose ``mallopt`` refuses every setting: it returns 0."""
+    settings = []
+    return SimpleNamespace(settings=settings,
+                           mallopt=lambda param, value: settings.append((param, value)) or 0)
+
+
+@pytest.mark.parametrize("libc", [SimpleNamespace, refusing_libc])
+def test_run_without_a_working_mallopt_writes_the_same_bytes(tmp_path, monkeypatch, libc):
+    # SimpleNamespace() is a libc without mallopt
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    reference = tmp_path / "reference"
+    assert main(["run", "--manifest", str(path), "--out", str(reference)]) == 0
+    loaded = []
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: loaded.append(libc()) or loaded[-1])
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 0
+    assert len(loaded) == 1
+    if libc is refusing_libc:
+        assert loaded[0].settings == [(cli._M_MMAP_THRESHOLD, 32 * 2**20)]  # no trim setting after it
+    names = sorted(p.name for p in reference.iterdir())
+    assert names == sorted(p.name for p in out.iterdir())
+    for name in names:
+        assert (reference / name).read_bytes() == (out / name).read_bytes()
 
 
 needs_two_cpus = pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs two workers")

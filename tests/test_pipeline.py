@@ -1,10 +1,16 @@
+import ctypes
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfaudio
 from mfaudio import (
     ConfigError,
     InsufficientAudioError,
@@ -209,6 +215,41 @@ def test_chunk_holds_one_window_at_a_time(tmp_path):
             tracemalloc.stop()
         assert len(outcomes) == len(chunk)
     assert peaks[1] - peaks[0] < 8 * window, f"{peaks[0]} -> {peaks[1]} bytes"
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="needs glibc's mallopt and Linux's minor-fault count")
+def test_pinned_malloc_thresholds_stop_the_window_page_faults(tmp_path):
+    # A fresh process, as mfaudio run is: no large array has yet raised
+    # glibc's dynamic mmap threshold.  Left dynamic, each 5-window chunk
+    # of 6 s windows at 8 kHz faults about 2,600 pages in afresh after the
+    # bases are built; with the thresholds pinned the heap keeps them.
+    path = tmp_path / "take.wav"
+    write_wav(path, gen_cascade_noise(120 * 8000, 0.7, 3, 8000.0), "float32")
+    script = (
+        "import resource, statistics, sys\n"
+        "from mfaudio import RenditionRecord, WindowPlan, cli, pipeline\n"
+        "from mfaudio.analysis import _warm_bases\n"
+        "plan = WindowPlan(clip_length=120.0, part_count=1, part_length=120.0, window_length=6.0)\n"
+        "record = RenditionRecord('song', 'artist', 1950, 1, sys.argv[1], plan=plan)\n"
+        "rendition = pipeline._plan_rendition(record)\n"
+        "cli._pin_malloc_thresholds()\n"
+        "_warm_bases((b - a, record.config) for part in rendition.spans for a, b in part)\n"
+        "faults = []\n"
+        "for task in rendition.tasks:\n"
+        "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "    pipeline._analyze_windows(task)\n"
+        "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+        "print(len(faults), statistics.median(faults[1:]))\n"
+    )
+    src = str(Path(mfaudio.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    chunks, faults = subprocess.run(
+        [sys.executable, "-c", script, str(path)], env={**os.environ, "PYTHONPATH": env_path},
+        capture_output=True, check=True, text=True,
+    ).stdout.split()
+    assert int(chunks) == 4
+    assert float(faults) < 100
 
 
 def test_stationary_fgn_has_homogeneous_parts():
