@@ -320,20 +320,6 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     return basis
 
 
-def _warm_bases(series) -> None:
-    """Build the bases ``fluctuation_function`` uses on each (length,
-    config) of ``series``, in order and no more than the cache holds, for
-    processes forked next to inherit.  A grid that raises builds nothing."""
-    keys: dict[tuple[int, int], None] = {}
-    for n, config in series:
-        try:
-            keys.update(dict.fromkeys((int(s), config.detrend_order) for s in config.scales_for(n)))
-        except MfaudioError:
-            continue
-    for s, order in list(keys)[:_BASIS_CACHE_SIZE]:
-        _detrend_basis(s, order)
-
-
 def _segment_msq(segments: np.ndarray, order: int) -> np.ndarray:
     """Mean squared residual of a degree-``order`` LS fit, per row.
 

@@ -9,13 +9,13 @@ recording are mapped as one stream of contiguous chunks, by builtin
 ``map`` or over a pool of forked worker processes.  A chunk travels as
 its spans; the process that analyses it decodes each window's frames
 from the file when it reaches that window, and each window's error comes
-back as a value.  The results are
-reduced in window order after the map, which keeps every mean
-bit-identical for any pool size.  Windows whose analysis degenerates
-(digital silence, a non-concave spectrum) are flagged with the reason
-and excluded from part means instead of poisoning them; a part whose
-every window is flagged is reported as errored.  All means are plain
-arithmetic means of their listed constituents.
+back as a value.  The results are reduced in window order after the
+map, which keeps every mean bit-identical for any pool size.  Windows
+whose analysis degenerates (digital silence, a non-concave spectrum)
+are flagged with the reason and excluded from part means instead of
+poisoning them; a part whose every window is flagged is reported as
+errored.  All means are plain arithmetic means of their listed
+constituents.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, _warm_bases, mfdfa
+from .analysis import HurstCurve, MfdfaConfig, mfdfa
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -164,10 +164,6 @@ class RenditionReport:
     def errored(self) -> bool:
         return any(p.errored for p in self.parts)
 
-    @property
-    def flagged_count(self) -> int:
-        return sum(p.flagged_count for p in self.parts)
-
 
 @dataclass(frozen=True)
 class GenerationAggregate:
@@ -198,10 +194,11 @@ def run_corpus(manifest, jobs: int = 1):
     record's chunks are mapped as one stream, and the records are reduced
     in manifest order.  With ``min(jobs, _usable_cpus())`` above 1,
     ``pool.map`` queues every chunk at once on a pool of that many forked
-    worker processes, which inherit the detrending bases built here first;
-    else builtin ``map`` runs each chunk in this process when its record is
-    reduced.  Outcomes do not depend on ``jobs``.  An unexpected exception
-    cancels the chunks not yet started.
+    worker processes; else builtin ``map`` runs each chunk in this process
+    when its record is reduced.  Either way the process that analyses a
+    window builds a detrending basis the first time it needs one.
+    Outcomes do not depend on ``jobs``.  An unexpected exception cancels
+    the chunks not yet started.
     """
     _check_jobs(jobs)
     workers = min(jobs, _usable_cpus())
@@ -210,10 +207,9 @@ def run_corpus(manifest, jobs: int = 1):
     if workers > 1:
         # threads serialise on the interpreter lock over a window's small
         # numpy calls.  Forked workers inherit the imported modules and the
-        # bases, which spawned ones would build again; the pool forks them
+        # pinned malloc thresholds, which spawned ones would not; each builds
+        # the detrending bases it needs on first use.  The pool forks them
         # all at its first submit, before it starts a thread of its own.
-        _warm_bases((n, p.record.config) for p in plans if not isinstance(p, MfaudioError)
-                    for n in {b - a for part in p.spans for a, b in part})
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     mapper = map if pool is None else pool.map
     try:

@@ -45,6 +45,9 @@ _FLOOR_GUARD = 1e-6
 # WAV data is read in blocks of this many samples (1 MiB as float64), never whole
 _DECODE_BLOCK_SAMPLES = 2**17
 
+# Bytes per block of a float WAV's NaN/infinity scan; two blocks are alive at once
+_SCAN_BLOCK_BYTES = 2**16
+
 
 @dataclass(frozen=True, eq=False)
 class Signal:
@@ -235,11 +238,11 @@ def _require_finite(layout: _WavLayout) -> None:
     Integer PCM always decodes to finite values."""
     if layout.tag != _WAVE_FORMAT_IEEE_FLOAT:
         return
-    size, block = layout.n_frames * layout.channels * 4, 4 * _DECODE_BLOCK_SAMPLES
+    size = layout.n_frames * layout.channels * 4
     with open(layout.path, "rb") as handle:
         handle.seek(layout.data_at)
-        for at in range(0, size, block):
-            raw = handle.read(min(block, size - at))
+        for at in range(0, size, _SCAN_BLOCK_BYTES):
+            raw = handle.read(min(_SCAN_BLOCK_BYTES, size - at))
             if not np.isfinite(np.frombuffer(raw, dtype="<f4")).all():
                 raise NonFiniteDataError("signal samples contain NaN or infinity").add_context(
                     str(layout.path))

@@ -579,24 +579,22 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 
 
 @needs_two_cpus
-def test_no_worker_builds_a_detrend_basis(tmp_path, monkeypatch):
-    # run_corpus builds every basis before the pool forks its workers, so
-    # a worker that had to build one itself fails the run with status 3
-    real_basis = analysis._detrend_basis
-    real_basis.cache_clear()
-    main_pid = os.getpid()
-
-    def main_process_basis(s, order):
-        misses = real_basis.cache_info().misses
-        basis = real_basis(s, order)
-        if os.getpid() != main_pid and real_basis.cache_info().misses > misses:
-            raise RuntimeError("a worker built a detrending basis")
-        return basis
-
-    monkeypatch.setattr(analysis, "_detrend_basis", main_process_basis)
+def test_each_worker_builds_the_bases_it_uses(tmp_path):
+    # at --jobs 2 the main process builds no detrending basis ahead of the
+    # fork: each worker builds its own on first use, and the outputs are
+    # those of --jobs 1, where the main process builds them
     path, _ = write_corpus(tmp_path, n_entries=2)
-    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
-                 "--jobs", "2"]) == 0
+    manifest = validate_manifest(path)
+    for jobs in (2, 1):
+        analysis._detrend_basis.cache_clear()
+        outcomes, failures = pipeline.run_corpus(manifest, jobs=jobs)
+        assert failures == []
+        assert (analysis._detrend_basis.cache_info().misses > 0) == (jobs == 1)
+        cli.write_outputs(outcomes, tmp_path / f"jobs{jobs}")
+    files = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 def test_serial_run_builds_no_more_bases_than_window_order_needs(tmp_path):

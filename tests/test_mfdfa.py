@@ -42,12 +42,10 @@ from mfaudio import (
     tau_from_h,
 )
 from mfaudio.analysis import (
-    _BASIS_CACHE_SIZE,
     _detrend_basis,
     _distinct,
     _scale_fluctuations,
     _segment_msq,
-    _warm_bases,
 )
 from mfaudio.manifest import build_q_grid
 
@@ -178,29 +176,6 @@ def test_fluctuation_function_matches_per_segment_route():
         expected = _lse_q_means(msq, config.q_grid)
         assert np.allclose(surface.values[:, j], expected, rtol=1e-12)
         assert surface.segment_counts[j] == 2 * n_seg
-
-
-def test_warm_bases_builds_what_the_analysis_uses_up_to_the_cache_size():
-    # one window length warms exactly the bases its analysis looks up; five
-    # lengths hold more keys than the cache, and none of them is evicted
-    config = MfdfaConfig()
-    sig = np.random.default_rng(9).standard_normal(4000)
-    _detrend_basis.cache_clear()
-    _warm_bases([(sig.size, config), (sig.size, config)])
-    warmed = _detrend_basis.cache_info()
-    fluctuation_function(compute_profile(sig), config)
-    used = _detrend_basis.cache_info()
-    assert warmed.misses == config.scales_for(sig.size).size
-    assert (used.misses, used.currsize) == (warmed.misses, warmed.currsize)
-
-    _detrend_basis.cache_clear()
-    _warm_bases((n, config) for n in (24000, 26460, 28800, 33072, 36000))
-    info = _detrend_basis.cache_info()
-    assert info.misses == info.currsize == _BASIS_CACHE_SIZE
-
-    _detrend_basis.cache_clear()
-    _warm_bases([(40, config), (4000, MfdfaConfig(scales=[16, 32, 64, 2000]))])  # grids that raise
-    assert _detrend_basis.cache_info().misses == 0
 
 
 def _pairwise_gram(a, b):

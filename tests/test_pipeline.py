@@ -223,18 +223,17 @@ def test_pinned_malloc_thresholds_stop_the_window_page_faults(tmp_path):
     # A fresh process, as mfaudio run is: no large array has yet raised
     # glibc's dynamic mmap threshold.  Left dynamic, each 5-window chunk
     # of 6 s windows at 8 kHz faults about 2,600 pages in afresh after the
-    # bases are built; with the thresholds pinned the heap keeps them.
+    # first, which builds the bases; with the thresholds pinned the heap
+    # keeps them.
     path = tmp_path / "take.wav"
     write_wav(path, gen_cascade_noise(120 * 8000, 0.7, 3, 8000.0), "float32")
     script = (
         "import resource, statistics, sys\n"
         "from mfaudio import RenditionRecord, WindowPlan, cli, pipeline\n"
-        "from mfaudio.analysis import _warm_bases\n"
         "plan = WindowPlan(clip_length=120.0, part_count=1, part_length=120.0, window_length=6.0)\n"
         "record = RenditionRecord('song', 'artist', 1950, 1, sys.argv[1], plan=plan)\n"
         "rendition = pipeline._plan_rendition(record)\n"
         "cli._pin_malloc_thresholds()\n"
-        "_warm_bases((b - a, record.config) for part in rendition.spans for a, b in part)\n"
         "faults = []\n"
         "for task in rendition.tasks:\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"

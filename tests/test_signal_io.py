@@ -327,6 +327,18 @@ def test_decode_peak_memory_follows_the_result(tmp_path, channels, bits, tag):
     assert peak <= 1.5 * sig.samples.nbytes, f"{peak / 2**20:.1f} MiB"
 
 
+def test_float_scan_holds_small_blocks(tmp_path):
+    # 4M float32 samples are 16 MiB on disk; the scan for NaN or infinity
+    # holds two raw blocks and one bool block, never a large read
+    n = 4_000_000
+    path = tmp_path / "scan.wav"
+    path.write_bytes(make_wav(np.random.default_rng(6).uniform(-1.0, 1.0, n).astype("<f4").tobytes(),
+                              bits=32, tag=3))
+    layout = signal_io._wav_layout(path)
+    _, peak = _traced_peak(signal_io._require_finite, layout)
+    assert peak < 256 * 1024, f"{peak / 1024:.0f} KiB"
+
+
 def test_write_wav_bytes_match_a_hand_rolled_image(tmp_path):
     sig = Signal(np.array([-1.0, -0.5, 0.0, 0.25, 1.0]), 8000.0)
     path = tmp_path / "image.wav"
