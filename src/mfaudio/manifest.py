@@ -45,6 +45,7 @@ _MFDFA_KEYS = {f.name for f in fields(MfdfaConfig)} | set(_Q_TRIPLE)
 _SECTIONS = {"window_plan": _PLAN_KEYS, "mfdfa": _MFDFA_KEYS}  # known keys of each
 _ENTRY_KEYS = {"song_id", "artist", "year", "generation", "path", *_SECTIONS}
 _REQUIRED_TYPES = {"song_id": str, "artist": str, "year": int, "generation": int, "path": str}
+_MAX_GRID_VALUES = 10_000  # q values or scales; a q_step of 1e-13 asked for 728 TiB
 
 
 @dataclass(frozen=True)
@@ -64,14 +65,18 @@ def parse_scale_rule(text: str) -> np.ndarray:
         raise ConfigError(f"scales rule {text!r} is not MIN:MAX:COUNT") from None
     if not (0 < lo < hi and count >= 2):
         raise ConfigError(f"scales rule {text!r} needs 0 < MIN < MAX and COUNT >= 2")
+    if count > _MAX_GRID_VALUES:
+        raise ConfigError(f"scales rule {text!r} asks for over {_MAX_GRID_VALUES} scales")
     return _distinct(np.rint(np.geomspace(lo, hi, count)).astype(int))
 
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:
     for name, value in (("q_min", q_min), ("q_max", q_max), ("q_step", q_step)):
         check_type(name, value, float)
-    if not (q_step > 0 and q_max > q_min):
+    if not (0 < q_step < np.inf and q_max > q_min):
         raise ConfigError(f"invalid q range {q_min}..{q_max} step {q_step}")
+    if q_max - q_min >= _MAX_GRID_VALUES * q_step:  # before dividing: 10 / 5e-324 is inf
+        raise ConfigError(f"q step {q_step:g} cuts {q_min:g}..{q_max:g} into over {_MAX_GRID_VALUES} values")
     count = int(round((q_max - q_min) / q_step))
     grid = q_min + q_step * np.arange(count + 1)
     if abs(grid[-1] - q_max) > 1e-9:

@@ -3,14 +3,13 @@ MFDFA, per-part width averaging) and per-generation aggregation.
 
 ``run_corpus`` splits each recording by its :class:`WindowPlan` into
 parts, each part into windows, as sample spans computed from the WAV
-header alone; every window gets a full MFDFA pass in ``_analyze_window``,
-a pure function of the window and its config, so the windows of every
-recording are mapped as one stream of contiguous chunks, by builtin
-``map`` or over a pool of forked worker processes.  A chunk travels as
-its spans; the process that analyses it decodes each window's frames
-from the file when it reaches that window, and each window's error comes
-back as a value.  The results are reduced in window order after the
-map, which keeps every mean bit-identical for any pool size.  Windows
+header alone.  Each window is one task of ``_analyze_window``, a pure
+function of the window and its config, mapped by builtin ``map`` or by
+``pool.map`` over forked worker processes, which sends the tasks in
+batches.  A task travels as its span; the process that runs it decodes
+the window's frames from the file, and a window's error is raised there
+with the window named.  The results are reduced in window order after
+the map, which keeps every mean bit-identical for any pool size.  Windows
 whose analysis degenerates (digital silence, a non-concave spectrum)
 are flagged with the reason and excluded from part means instead of
 poisoning them; a part whose every window is flagged is reported as
@@ -25,9 +24,8 @@ import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import chain
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -58,11 +56,10 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# Windows go to the map in contiguous chunks of about this many samples
-# (six chunks of 30 one-second windows for a 180 s clip at 8 kHz); a chunk
-# sets only the task size, since each window is decoded on its own: a task
-# per window pays inter-process traffic per window, and chunks sized by
-# samples, not by part, still split a one-part clip across the workers.
+# A pool gets a rendition's windows in batches of about this many samples
+# (six batches of 30 one-second windows for a 180 s clip at 8 kHz): a pool
+# task per window pays inter-process traffic per window, and batches sized
+# by samples, not by part, still split a one-part clip across the workers.
 # On two cores 2**16 to 2**18 timed alike; 2**19 loaded the workers unevenly.
 _CHUNK_SAMPLES = 2**18
 
@@ -133,17 +130,18 @@ class PartResult:
 
     @property
     def mean_width(self) -> float:
-        widths = self.window_widths
-        return float(np.mean(widths)) if widths else math.nan
+        return self._unflagged_mean("width")
 
     @property
     def mean_alpha0(self) -> float:
-        vals = [w.alpha0 for w in self.windows if not w.flagged]
-        return float(np.mean(vals)) if vals else math.nan
+        return self._unflagged_mean("alpha0")
 
     @property
     def mean_h2(self) -> float:
-        vals = [w.h2 for w in self.windows if not w.flagged]
+        return self._unflagged_mean("h2")
+
+    def _unflagged_mean(self, name: str) -> float:
+        vals = [getattr(w, name) for w in self.windows if not w.flagged]
         return float(np.mean(vals)) if vals else math.nan
 
 
@@ -190,15 +188,16 @@ def run_corpus(manifest, jobs: int = 1):
 
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
-    Every record is planned first (header, spans, chunk tasks), then every
-    record's chunks are mapped as one stream, and the records are reduced
-    in manifest order.  With ``min(jobs, _usable_cpus())`` above 1,
-    ``pool.map`` queues every chunk at once on a pool of that many forked
-    worker processes; else builtin ``map`` runs each chunk in this process
-    when its record is reduced.  Either way the process that analyses a
-    window builds a detrending basis the first time it needs one.
-    Outcomes do not depend on ``jobs``.  An unexpected exception cancels
-    the chunks not yet started.
+    Every record is planned first (header, spans, one task per window),
+    then every record's windows are mapped, and the records are reduced
+    in manifest order.  With ``min(jobs, _usable_cpus())`` above 1, a
+    ``pool.map`` per record queues its windows at once, in batches, on a
+    pool of that many forked worker processes; else builtin ``map`` runs
+    each window in this process when its record is reduced.  Either way
+    the process that analyses a window builds a detrending basis the
+    first time it needs one.  Outcomes do not depend on ``jobs``.  A
+    window error cancels its record's batches not yet started; an
+    unexpected exception cancels every one.
     """
     _check_jobs(jobs)
     workers = min(jobs, _usable_cpus())
@@ -211,14 +210,15 @@ def run_corpus(manifest, jobs: int = 1):
         # the detrending bases it needs on first use.  The pool forks them
         # all at its first submit, before it starts a thread of its own.
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
-    mapper = map if pool is None else pool.map
     try:
         # every map is called before any record is reduced: pool.map
-        # submits its chunks at once, and yields their results in order
-        streams = [p if isinstance(p, MfaudioError) else (p, mapper(_analyze_windows, p.tasks))
-                   for p in plans]
-        outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, *s)
-                    for s in streams]
+        # submits its batches at once, and yields their results in order
+        streams = [tasks if isinstance(tasks, MfaudioError)
+                   else map(_analyze_window, tasks) if pool is None
+                   else pool.map(_analyze_window, tasks, chunksize=_chunksize(tasks))
+                   for tasks in plans]
+        outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, record, s)
+                    for record, s in zip(manifest.records, streams)]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -251,26 +251,19 @@ def analyze_rendition(record: RenditionRecord, signal: Signal | None = None) -> 
     """Run MFDFA over every window of every part of one recording in this process.
 
     It plans and reduces one record as ``run_corpus`` does, with builtin
-    ``map`` over the chunks.  Only the WAV header is read up front, and for
-    float PCM the raw samples are scanned for NaN or infinity in bounded
-    blocks.  The windows are cut into contiguous chunks of about
-    ``_CHUNK_SAMPLES`` samples, and each window is decoded from the file
-    when it is reached.  ``signal`` skips the file: each chunk then carries
-    its slice of these samples.  Audio and plan errors propagate with the
-    rendition identified, window errors with the rendition, part and window.
+    ``map`` over the windows.  Only the WAV header is read up front, and
+    for float PCM the raw samples are scanned for NaN or infinity in
+    bounded blocks; each window is decoded from the file when it is
+    analysed.  ``signal`` skips the file: each window is then sliced from
+    these samples.  Audio and plan errors propagate with the rendition
+    identified, window errors with the rendition, part and window.
     """
-    plan = _plan_rendition(record, signal)
-    return _reduce_rendition(plan, map(_analyze_windows, plan.tasks))
+    return _reduce_rendition(record, map(_analyze_window, _plan_rendition(record, signal)))
 
 
-class _RenditionPlan(NamedTuple):
-    record: RenditionRecord
-    spans: list[list[tuple[int, int]]]
-    tasks: list[tuple]  # one _analyze_windows task per chunk
-
-
-def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _RenditionPlan:
-    """Header, float scan, window spans and chunk tasks of one recording."""
+def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> list[tuple]:
+    """Header, float scan and window spans of one recording, as one
+    ``_analyze_window`` task per window, in window order."""
     try:
         if signal is None:
             layout = _wav_layout(record.audio_path)
@@ -282,31 +275,32 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> _R
     except MfaudioError as err:
         raise err.add_context(f"rendition {record.rendition_id}")
 
-    windows = [(a, b, w_idx) for part in spans for w_idx, (a, b) in enumerate(part, start=1)]
-    tasks = [
-        (layout if signal is None else signal.samples[chunk[0][0]:chunk[-1][1]],
-         chunk, record.config)
-        for chunk in _chunks(windows)
-    ]
-    return _RenditionPlan(record, spans, tasks)
+    source = layout if signal is None else signal.samples
+    rendition_id = record.rendition_id  # one string object, pickled once per batch
+    return [(source, span, record.config, (rendition_id, p_idx, w_idx))
+            for p_idx, part in enumerate(spans, start=1)
+            for w_idx, span in enumerate(part, start=1)]
 
 
-def _reduce_rendition(plan: _RenditionPlan, chunks: Iterable[list]) -> RenditionReport:
-    """The plan's report from its chunks' window outcomes, read in window
-    order so that a window error raised is the first one."""
-    record, analyzed = plan.record, chain.from_iterable(chunks)
+def _chunksize(tasks: list[tuple]) -> int:
+    """Windows per pool task: the fewest that leave at most one pool task
+    per ``_CHUNK_SAMPLES`` samples of the windows, rounded up."""
+    n = len(tasks)
+    batches = min(n, math.ceil(sum(b - a for _, (a, b), _, _ in tasks) / _CHUNK_SAMPLES))
+    return math.ceil(n / batches)
+
+
+def _reduce_rendition(
+    record: RenditionRecord, analyzed: Iterator[tuple[WindowResult, HurstCurve | None]]
+) -> RenditionReport:
+    """The record's report from its windows' outcomes, in window order."""
     parts: list[PartResult] = []
     h_sum = r2_sum = None
     h_count = 0
-    for p_idx, part in enumerate(plan.spans, start=1):
+    for p_idx in range(1, record.plan.part_count + 1):
         results: list[WindowResult] = []
-        for w_idx in range(1, len(part) + 1):
-            outcome = next(analyzed)
-            if isinstance(outcome, MfaudioError):
-                raise outcome.add_context(
-                    f"rendition {record.rendition_id} part {p_idx} window {w_idx}"
-                )
-            result, curve = outcome
+        for _ in range(record.plan.windows_per_part):
+            result, curve = next(analyzed)
             results.append(result)
             if curve is not None:
                 h_sum = curve.h.copy() if h_sum is None else h_sum + curve.h
@@ -320,58 +314,32 @@ def _reduce_rendition(plan: _RenditionPlan, chunks: Iterable[list]) -> Rendition
     return RenditionReport(record, tuple(parts), mean_hurst)
 
 
-def _chunks(windows: list[tuple[int, int, int]]) -> list[list[tuple[int, int, int]]]:
-    """``windows`` cut into contiguous runs of near-equal length, each of
-    about ``_CHUNK_SAMPLES`` samples."""
-    n = len(windows)
-    count = min(n, math.ceil(sum(b - a for a, b, _ in windows) / _CHUNK_SAMPLES))
-    return [windows[i * n // count:(i + 1) * n // count] for i in range(count)]
-
-
-def _analyze_windows(
-    task: tuple[_WavLayout | np.ndarray, list[tuple[int, int, int]], MfdfaConfig]
-) -> list[tuple[WindowResult, HurstCurve | None] | MfaudioError]:
-    """``_analyze_window`` over one chunk's (start, stop, window index)
-    spans, in order; ``task`` is (source, spans, config).
-
-    Each window's samples are read when it is reached: decoded from the
-    WAV that ``source`` lays out, so the chunk holds one window's samples
-    at a time, or sliced from ``source`` itself, an array of the chunk's
-    samples from the first span's start to the last span's stop.  A
-    window's ``MfaudioError`` is returned in its place, not raised, so
-    the caller can name the window; the windows after it are skipped.
-    """
-    source, windows, config = task
-    base = windows[0][0]
-    outcomes: list = []
-    for a, b, w_idx in windows:
-        try:
-            # read inside the call, so no name keeps one window's samples
-            # alive while the next one is decoded
-            outcomes.append(_analyze_window(
-                source[a - base:b - base] if isinstance(source, np.ndarray)
-                else _decode_frames(source, a, b), config, w_idx))
-        except MfaudioError as err:
-            outcomes.append(err)
-            break
-    return outcomes
-
-
 def _analyze_window(
-    samples: np.ndarray, config: MfdfaConfig, window_index: int
+    task: tuple[_WavLayout | np.ndarray, tuple[int, int], MfdfaConfig, tuple[str, int, int]]
 ) -> tuple[WindowResult, HurstCurve | None]:
-    """One window's diagnostics and h(q) curve; a flagged window has no curve."""
+    """One window's diagnostics and h(q) curve; a flagged window has no curve.
+
+    ``task`` is (source, (start, stop), config, (rendition id, part,
+    window)).  The window's samples are decoded from the WAV that
+    ``source`` lays out, or sliced from ``source`` itself, an array of
+    the rendition's samples.  An error other than a window flag is
+    raised with the rendition, part and window named.
+    """
+    source, (a, b), config, (rendition_id, p_idx, w_idx) = task
     try:
+        samples = source[a:b] if isinstance(source, np.ndarray) else _decode_frames(source, a, b)
         res = mfdfa(samples, config)
     except _WINDOW_FLAG_ERRORS as err:
         flagged = WindowResult(
-            window_index, samples.size, math.nan, math.nan, math.nan,
+            w_idx, samples.size, math.nan, math.nan, math.nan,
             math.nan, math.nan, flagged=True, flag_reason=str(err),
         )
         return flagged, None
+    except MfaudioError as err:
+        raise err.add_context(f"rendition {rendition_id} part {p_idx} window {w_idx}")
     h2, r2 = res.hurst.at(2.0)
     result = WindowResult(
-        window_index, samples.size, res.width.width, res.width.alpha0,
+        w_idx, samples.size, res.width.width, res.width.alpha0,
         res.width.asymmetry, h2, r2,
     )
     return result, res.hurst

@@ -224,6 +224,26 @@ def test_q_grid_without_a_spectrum_exits_2(tmp_path, capsys, flags):
     assert "manifest error: entries[0]: spectrum needs" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [
+    ("q_step", 1e-13), ("q_step", 5e-324), ("scales", "16:1000:100000000000000"),
+])
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_oversized_grid_exits_2_before_it_is_built(tmp_path, capsys, key, value, where):
+    # these asked numpy for 728 TiB, or divided the q range to infinity,
+    # and exited 3 with an internal error
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    flags = []
+    if where == "flag":
+        flags = ["--" + key.replace("_", "-"), str(value)]
+    else:
+        doc["defaults"]["mfdfa"] = {key: value}
+        rewrite(path, doc)
+    assert main(["run", "--manifest", str(path), "--dry-run", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("manifest error: entries[0]: ") and err.count("\n") == 1
+    assert "over 10000" in err
+
+
 def test_mixed_part_counts_exit_2_before_analysis(tmp_path, capsys):
     # generation means are taken part by part, so this is decided before
     # any rendition is analysed or any output written
@@ -321,6 +341,8 @@ def test_grid_helpers():
         parse_scale_rule("16:1024")
     with pytest.raises(ConfigError):
         build_q_grid(-5, 5, 0.3)  # step does not divide the range
+    with pytest.raises(ConfigError):
+        build_q_grid(-5, 5, math.inf)  # made the grid [nan]
 
 
 # --- CLI ------------------------------------------------------------------------
@@ -534,8 +556,9 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
 
 @needs_two_cpus
 def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
-    # 60 s at 22.05 kHz is 10.6 MB of float64 in 6 chunks; a chunk's task
-    # pickles to its frame spans, the WAV layout and the config
+    # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows, sent in 5
+    # batches of 2; a batch pickles to its windows' frame spans and labels,
+    # the WAV layout and the config
     sizes = []
 
     class MeasuringPool(ProcessPoolExecutor):
@@ -548,7 +571,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
         assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-    assert len(sizes) == 6
+    assert len(sizes) == 5
     assert max(sizes) < 64 * 1024, sizes
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
@@ -576,6 +599,38 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
     assert capsys.readouterr().err == (
         "error: rendition song-x-artist-0-1950 part 2 window 4: injected\n"
     )
+
+
+@needs_two_cpus
+def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, capsys, monkeypatch):
+    # one window per pool task: the error in the first rendition's first
+    # window cancels that rendition's unstarted windows and no others
+    path, _ = write_corpus(tmp_path, n_entries=2)
+    clean = tmp_path / "clean"
+    assert main(["run", "--manifest", str(path), "--out", str(clean), "--jobs", "1"]) == 0
+    capsys.readouterr()
+    record = validate_manifest(path).records[0]
+    target = partition_windows(decode_wav(record.audio_path), record.plan)[0][0]
+    real_mfdfa = pipeline.mfdfa
+
+    def failing_mfdfa(window, config):
+        if np.array_equal(window, target.samples):
+            raise NonFiniteDataError("injected")
+        return real_mfdfa(window, config)
+
+    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
+    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", "2"]) == 1
+    assert capsys.readouterr().err == (
+        "error: rendition song-x-artist-0-1950 part 1 window 1: injected\n"
+    )
+    for name in ("widths.csv", "windows.csv"):
+        rows = read_csv(out / name)
+        assert rows[1:] == [row for row in read_csv(clean / name)[1:] if row[1] == "artist-1"]
+    spectra = sorted(p.name for p in out.glob("spectrum_*.csv"))
+    assert spectra == ["spectrum_song-x-artist-1-1951.csv"]
+    assert (out / spectra[0]).read_bytes() == (clean / spectra[0]).read_bytes()
 
 
 @needs_two_cpus

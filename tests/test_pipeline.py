@@ -171,8 +171,8 @@ def test_short_audio_propagates_with_record_identified(tmp_path):
 
 
 def test_file_and_decoded_signal_give_the_same_report(tmp_path):
-    # a chunk decoded from the file and the same chunk cut from the decoded
-    # samples are the same bytes
+    # a window decoded from the file and the same window cut from the
+    # decoded samples are the same bytes
     record = make_record(tmp_path, gen_cascade_noise(24 * 4000, 0.7, 6, 4000.0))
     assert_same_report(analyze_rendition(record),
                        analyze_rendition(record, signal=decode_wav(record.audio_path)))
@@ -180,7 +180,7 @@ def test_file_and_decoded_signal_give_the_same_report(tmp_path):
 
 def test_rendition_memory_follows_the_chunk_not_the_file(tmp_path):
     # 180 s at 8 kHz decode to 11.5 MB of float64; only the 12 s clip is
-    # analysed, and no more than a chunk of it is decoded at a time
+    # analysed, and no more than a window of it is decoded at a time
     n = 180 * 8000
     record = make_record(
         tmp_path, gen_cascade_noise(n, 0.7, 7, 8000.0), name="long.wav",
@@ -197,23 +197,22 @@ def test_rendition_memory_follows_the_chunk_not_the_file(tmp_path):
 
 
 def test_chunk_holds_one_window_at_a_time(tmp_path):
-    # each window of a chunk is decoded when it is reached, so three more
-    # windows in the chunk add less than one window's samples to its peak
+    # each window task decodes its window when it runs, so a batch of four
+    # window tasks adds less than one window's samples to the peak of one
     window = 24_000
     record = make_record(tmp_path, gen_cascade_noise(4 * window, 0.7, 8, 4000.0))
-    layout = pipeline._wav_layout(record.audio_path)
-    spans = [(i * window, (i + 1) * window, i + 1) for i in range(4)]
-    config = MfdfaConfig()
-    pipeline._analyze_windows((layout, spans[:1], config))  # caches the bases
+    tasks = pipeline._plan_rendition(record)
+    assert [span for _, span, _, _ in tasks] == [(i * window, (i + 1) * window) for i in range(4)]
+    pipeline._analyze_window(tasks[0])  # caches the bases
     peaks = []
-    for chunk in (spans[:1], spans):
+    for batch in (tasks[:1], tasks):
         tracemalloc.start()
         try:
-            outcomes = pipeline._analyze_windows((layout, chunk, config))
+            outcomes = list(map(pipeline._analyze_window, batch))
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
-        assert len(outcomes) == len(chunk)
+        assert len(outcomes) == len(batch)
     assert peaks[1] - peaks[0] < 8 * window, f"{peaks[0]} -> {peaks[1]} bytes"
 
 
@@ -221,10 +220,9 @@ def test_chunk_holds_one_window_at_a_time(tmp_path):
                     reason="needs glibc's mallopt and Linux's minor-fault count")
 def test_pinned_malloc_thresholds_stop_the_window_page_faults(tmp_path):
     # A fresh process, as mfaudio run is: no large array has yet raised
-    # glibc's dynamic mmap threshold.  Left dynamic, each 5-window chunk
-    # of 6 s windows at 8 kHz faults about 2,600 pages in afresh after the
-    # first, which builds the bases; with the thresholds pinned the heap
-    # keeps them.
+    # glibc's dynamic mmap threshold.  Left dynamic, each 6 s window at
+    # 8 kHz faults about 570 pages in afresh after the first, which
+    # builds the bases; with the thresholds pinned the heap keeps them.
     path = tmp_path / "take.wav"
     write_wav(path, gen_cascade_noise(120 * 8000, 0.7, 3, 8000.0), "float32")
     script = (
@@ -232,22 +230,22 @@ def test_pinned_malloc_thresholds_stop_the_window_page_faults(tmp_path):
         "from mfaudio import RenditionRecord, WindowPlan, cli, pipeline\n"
         "plan = WindowPlan(clip_length=120.0, part_count=1, part_length=120.0, window_length=6.0)\n"
         "record = RenditionRecord('song', 'artist', 1950, 1, sys.argv[1], plan=plan)\n"
-        "rendition = pipeline._plan_rendition(record)\n"
+        "tasks = pipeline._plan_rendition(record)\n"
         "cli._pin_malloc_thresholds()\n"
         "faults = []\n"
-        "for task in rendition.tasks:\n"
+        "for task in tasks:\n"
         "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
-        "    pipeline._analyze_windows(task)\n"
+        "    pipeline._analyze_window(task)\n"
         "    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
         "print(len(faults), statistics.median(faults[1:]))\n"
     )
     src = str(Path(mfaudio.__file__).resolve().parents[1])
     env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    chunks, faults = subprocess.run(
+    tasks, faults = subprocess.run(
         [sys.executable, "-c", script, str(path)], env={**os.environ, "PYTHONPATH": env_path},
         capture_output=True, check=True, text=True,
     ).stdout.split()
-    assert int(chunks) == 4
+    assert int(tasks) == 20
     assert float(faults) < 100
 
 
