@@ -7,8 +7,8 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
 2. fluctuation   F^2(s, v) = mean squared residual of a least-squares
                  polynomial of degree m over segment v of size s, the
                  part left by a projection onto an orthonormal basis;
-                 segments are taken from the start of the profile and,
-                 when ``bidirectional``, from the end as well
+                 segments are taken from the start of the profile and
+                 from its end
 3. q-order mean  F_q(s) = { mean_v [F^2(s, v)]^(q/2) }^(1/q)
                  F_0(s) = exp{ 0.5 * mean_v ln F^2(s, v) }
                  taken over all scales at once on ln F^2, in cache-sized
@@ -106,16 +106,17 @@ class MfdfaConfig:
     analysis time, so one config can serve windows of different sizes.
     ``fit_range`` is a half-open index range into the scale grid.
     ``q_zero_epsilon`` is fixed: orders with |q| at or below it take the
-    logarithmic-average limit.
+    logarithmic-average limit.  ``bidirectional`` is fixed too: segments
+    are always taken from both ends of the profile.
     """
 
     q_grid: np.ndarray | Sequence[float] | None = None
     scales: np.ndarray | Sequence[int] | None = None
     detrend_order: int = 1
-    bidirectional: bool = True
     fit_range: tuple[int, int] | None = None
     width_method: str = "quadratic"  # "quadratic" | "endpoints"
     q_zero_epsilon: ClassVar[float] = 1e-9
+    bidirectional: ClassVar[bool] = True
 
     def __post_init__(self):
         q = default_q_grid() if self.q_grid is None else _as_grid("q_grid", self.q_grid)
@@ -148,7 +149,6 @@ class MfdfaConfig:
                 f"detrend_order {self.detrend_order} leaves no residual degree of "
                 f"freedom at scale {min_scale} (need every scale >= m + 2)"
             )
-        check_type("bidirectional", self.bidirectional, bool)
         if self.fit_range is not None:
             if not (isinstance(self.fit_range, (tuple, list)) and len(self.fit_range) == 2):
                 raise ConfigError(
@@ -252,16 +252,13 @@ class SingularitySpectrum:
 class WidthResult:
     """Multifractal spectral width and apex diagnostics.
 
-    For the quadratic method, ``quad_coefficients`` holds (A, B, C) with
-    C pinned to 1 and A < 0; ``asymmetry`` is B (zero for a perfectly
-    symmetric spectrum).  The endpoints method leaves both unset.
+    For the quadratic method ``asymmetry`` is the fitted B (zero for a
+    perfectly symmetric spectrum); the endpoints method leaves it NaN.
     """
 
     width: float
     alpha0: float
     asymmetry: float
-    method: str
-    quad_coefficients: tuple[float, float, float] | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -445,13 +442,11 @@ def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) ->
 def _scale_fluctuations(y: np.ndarray, s: int, config: MfdfaConfig) -> np.ndarray:
     n_seg = y.size // s
     fwd = y[: n_seg * s].reshape(n_seg, s)
-    msq = _segment_msq(fwd, config.detrend_order)
-    if config.bidirectional:
-        # backward segments count from the end of the profile; order them
-        # v = 1..n_seg from the end so trailing samples are always covered
-        bwd = y[y.size - n_seg * s :].reshape(n_seg, s)[::-1]
-        msq = np.concatenate([msq, _segment_msq(bwd, config.detrend_order)])
-    return msq
+    # backward segments count from the end of the profile; order them
+    # v = 1..n_seg from the end so trailing samples are always covered
+    bwd = y[y.size - n_seg * s :].reshape(n_seg, s)[::-1]
+    return np.concatenate([_segment_msq(fwd, config.detrend_order),
+                           _segment_msq(bwd, config.detrend_order)])
 
 
 def fit_hurst(surface: FluctuationSurface, fit_range: tuple[int, int] | None = None) -> HurstCurve:
@@ -532,7 +527,7 @@ def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> 
     apex = int(np.argmax(f))
     alpha0 = float(alpha[apex])
     if method == "endpoints":
-        return WidthResult(float(alpha.max() - alpha.min()), alpha0, math.nan, "endpoints")
+        return WidthResult(float(alpha.max() - alpha.min()), alpha0, math.nan)
     if method != "quadratic":
         raise ConfigError(f"unknown width method {method!r}")
 
@@ -547,7 +542,7 @@ def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> 
             f"fitted leading coefficient A = {a:g} is not negative"
         )
     width = math.sqrt(b * b - 4.0 * a) / (-a)  # root separation with C = 1
-    return WidthResult(width, alpha0, float(b), "quadratic", (float(a), float(b), 1.0))
+    return WidthResult(width, alpha0, float(b))
 
 
 def _staged(stage: str, fn, *args):

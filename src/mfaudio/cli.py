@@ -39,14 +39,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import legendre_spectrum
 from .errors import ManifestError, MfaudioError
 from .manifest import validate_manifest
 from .pipeline import RenditionReport, _check_jobs, _slug, aggregate_generation, run_corpus
-from .signal_io import Signal, write_wav
-from .synth import cascade_masses, gen_cascade_noise, gen_fgn_prefix
+from .signal_io import write_wav
+from .synth import gen_cascade_noise, gen_fgn_prefix
 
 
 def _f17(x) -> str:
@@ -205,13 +203,10 @@ def _cmd_run(args) -> int:
     for report in reports:
         if report.errored:
             bad = [p.part_index for p in report.parts if p.errored]
-            reasons = {
-                w.flag_reason for p in report.parts for w in p.windows if w.flagged
-            }
-            detail = sorted(reasons)[0] if reasons else "all windows flagged"
+            reason = min(w.flag_reason for p in report.parts for w in p.windows if w.flagged)
             print(
                 f"error: rendition {report.record.rendition_id}: "
-                f"part(s) {bad} errored ({detail})",
+                f"part(s) {bad} errored ({reason})",
                 file=sys.stderr,
             )
     for failure in failures:
@@ -247,13 +242,9 @@ def _cmd_synth(args) -> int:
         if args.kind == "cascade-noise":
             weight = min(0.60 + 0.04 * (g - 1), 0.78)
             sig = gen_cascade_noise(n, weight, seed, args.rate)
-        elif args.kind == "fgn":
+        else:
             hurst = min(0.55 + 0.05 * (g - 1), 0.90)
             sig = gen_fgn_prefix(hurst, n, seed, args.rate)
-        else:  # pure cascade measure, scaled to unit mean
-            levels = max(10, min(24, math.ceil(math.log2(n))))
-            masses = np.resize(cascade_masses(levels, 0.75), n)  # tiled past 2^24
-            sig = Signal(masses * 2.0**levels, args.rate)
         rel = f"audio/gen{g:02d}.wav"
         write_wav(out / rel, sig, "float32")
         entries.append(
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     synth_p = sub.add_parser("synth", help="generate a synthetic oracle corpus (WAVs + manifest)")
     synth_p.add_argument("--out", required=True, help="corpus directory to create")
-    synth_p.add_argument("--kind", choices=["cascade-noise", "fgn", "cascade"], default="cascade-noise")
+    synth_p.add_argument("--kind", choices=["cascade-noise", "fgn"], default="cascade-noise")
     synth_p.add_argument("--generations", type=int, default=5)
     synth_p.add_argument("--duration", type=float, default=180.0, help="seconds per rendition")
     synth_p.add_argument("--rate", type=float, default=22050.0, help="sample rate in Hz")

@@ -74,17 +74,13 @@ class ConfigError(MfaudioError):
 
 
 def check_type(name: str, value, kind: type) -> None:
-    """Raise ConfigError unless ``value`` is of ``kind``: int, float or bool.
+    """Raise ConfigError unless ``value`` is of ``kind``: int or float.
 
     Python and numpy scalars count and nothing is coerced; a bool is
     neither an integer nor a number here.
     """
-    abstract, noun = {
-        int: (numbers.Integral, "an integer"),
-        float: (numbers.Real, "a number"),
-        bool: (bool, "true or false"),
-    }[kind]
-    if not isinstance(value, abstract) or isinstance(value, bool) != (kind is bool):
+    abstract, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}[kind]
+    if not isinstance(value, abstract) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
 
 

@@ -63,8 +63,8 @@ def parse_scale_rule(text: str) -> np.ndarray:
         lo, hi, count = (int(part) for part in text.split(":"))
     except ValueError:
         raise ConfigError(f"scales rule {text!r} is not MIN:MAX:COUNT") from None
-    if not (0 < lo < hi and count >= 2):
-        raise ConfigError(f"scales rule {text!r} needs 0 < MIN < MAX and COUNT >= 2")
+    if not (0 < lo < hi <= 2**53 and count >= 2):  # float64 holds every integer to 2**53
+        raise ConfigError(f"scales rule {text!r} needs 0 < MIN < MAX <= 2**53 and COUNT >= 2")
     if count > _MAX_GRID_VALUES:
         raise ConfigError(f"scales rule {text!r} asks for over {_MAX_GRID_VALUES} scales")
     return _distinct(np.rint(np.geomspace(lo, hi, count)).astype(int))

@@ -56,11 +56,12 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# A pool gets a rendition's windows in batches of about this many samples
-# (six batches of 30 one-second windows for a 180 s clip at 8 kHz): a pool
-# task per window pays inter-process traffic per window, and batches sized
-# by samples, not by part, still split a one-part clip across the workers.
-# On two cores 2**16 to 2**18 timed alike; 2**19 loaded the workers unevenly.
+# A pool gets a rendition's windows in batches of at most this many samples,
+# one window per batch where a window is longer (32 one-second windows per
+# batch at 8 kHz, six batches for a 180 s clip): one-second windows sent one
+# per task ran 10-20% slower, and batches sized by samples, not by part,
+# still split a one-part clip across the workers.  On two cores 2**16 to
+# 2**18 timed alike; 2**19 loaded the workers unevenly.
 _CHUNK_SAMPLES = 2**18
 
 
@@ -115,10 +116,6 @@ class PartResult:
 
     part_index: int
     windows: tuple[WindowResult, ...]
-
-    @property
-    def window_widths(self) -> list[float]:
-        return [w.width for w in self.windows if not w.flagged]
 
     @property
     def flagged_count(self) -> int:
@@ -283,11 +280,10 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> li
 
 
 def _chunksize(tasks: list[tuple]) -> int:
-    """Windows per pool task: the fewest that leave at most one pool task
-    per ``_CHUNK_SAMPLES`` samples of the windows, rounded up."""
-    n = len(tasks)
-    batches = min(n, math.ceil(sum(b - a for _, (a, b), _, _ in tasks) / _CHUNK_SAMPLES))
-    return math.ceil(n / batches)
+    """Windows per pool task: as many windows of the first one's length as
+    ``_CHUNK_SAMPLES`` holds, and at least one."""
+    a, b = tasks[0][1]
+    return max(1, _CHUNK_SAMPLES // (b - a))
 
 
 def _reduce_rendition(

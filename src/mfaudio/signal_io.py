@@ -111,7 +111,7 @@ class WindowPlan:
                 f"{self.part_count} parts of {self.part_length:g} s exceed "
                 f"the {self.clip_length:g} s clip"
             )
-        if self.window_length > self.part_length + 1e-9:
+        if self.window_length > self.part_length + 1e-9 or self.windows_per_part < 1:
             raise ConfigError(
                 f"window of {self.window_length:g} s does not fit in a "
                 f"{self.part_length:g} s part"

@@ -160,7 +160,7 @@ def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "section, key, value, flags",
     [
-        ("mfdfa", "bidirectional", "false", []),
+        ("mfdfa", "detrend_order", "1", []),
         ("mfdfa", "detrend_order", 1.7, []),
         ("mfdfa", "detrend_order", True, []),
         ("mfdfa", "fit_range", [1.9, 5.2], []),
@@ -316,7 +316,9 @@ def test_manifest_rejects_unknown_settings(tmp_path):
     (("defaults",), "mfdfa", {"q_minimum": -3}, "defaults.mfdfa: unknown key(s): q_minimum"),
     ((), "outptu_dir", "out", "manifest: unknown key(s): outptu_dir"),
     (("entries", 0), "mfdfa", [["q_min", -3.0]], "'entries[0].mfdfa' must be an object"),
-], ids=["pairs", "string", "unknown-section", "unknown-setting", "unknown-top-key", "entry-pairs"])
+    (("defaults",), "mfdfa", {"bidirectional": True}, "defaults.mfdfa: unknown key(s): bidirectional"),
+], ids=["pairs", "string", "unknown-section", "unknown-setting", "unknown-top-key", "entry-pairs",
+        "retired-setting"])
 def test_a_section_that_is_not_an_object_or_an_unknown_key_exits_2(
         tmp_path, capsys, where, key, value, violation):
     # these were coerced, ignored, or reported once per entry
@@ -556,9 +558,10 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
 
 @needs_two_cpus
 def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
-    # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows, sent in 5
-    # batches of 2; a batch pickles to its windows' frame spans and labels,
-    # the WAV layout and the config
+    # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows of 132,300
+    # samples, each longer than _CHUNK_SAMPLES and so sent alone; a task
+    # pickles to its window's frame span and label, the WAV layout and the
+    # config
     sizes = []
 
     class MeasuringPool(ProcessPoolExecutor):
@@ -571,7 +574,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
         assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-    assert len(sizes) == 5
+    assert len(sizes) == 10
     assert max(sizes) < 64 * 1024, sizes
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
@@ -881,6 +884,48 @@ def test_cli_scales_flag_changes_grid(tmp_path):
     assert h2_custom != h2_default
 
 
+@pytest.mark.parametrize("rule", ["16:100000000000000000000:10", "16:1" + "0" * 400 + ":10"],
+                         ids=["1e20", "1e400"])
+@pytest.mark.parametrize("where", ["flag", "manifest"])
+def test_a_scale_rule_past_2_to_the_53_exits_2(tmp_path, capsys, rule, where):
+    # np.geomspace used to get these: a numpy TypeError message (exit 2)
+    # for 1e20 and an OverflowError (exit 3) for 1e400
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    flags = ["--scales", rule] if where == "flag" else []
+    if where == "manifest":
+        doc["defaults"]["mfdfa"] = {"scales": rule}
+        rewrite(path, doc)
+    assert main(["run", "--manifest", str(path), "--dry-run", *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("manifest error: entries[0]: scales rule ")
+    assert err.count("\n") == 1
+
+
+def test_a_plan_with_no_window_per_part_exits_2(tmp_path, capsys):
+    # a window 5% longer than its part used to pass validation, and the run
+    # then reported its empty parts as "all windows flagged"
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    doc["defaults"]["window_plan"] = {"clip_length": 1e-8, "part_count": 1,
+                                      "part_length": 1e-8, "window_length": 1.05e-8}
+    rewrite(path, doc)
+    assert main(["run", "--manifest", str(path), "--dry-run"]) == 2
+    assert "does not fit in a 1e-08 s part" in capsys.readouterr().err
+
+
+def test_readme_example_manifest_validates(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme[readme.index("### Manifest format (version 1)"):]
+    start = section.index("```json\n") + len("```json\n")
+    example = section[start : section.index("```", start)]
+    (tmp_path / "audio").mkdir()
+    write_wav(tmp_path / "audio" / "take.wav", gen_cascade_noise(180 * 1000, 0.7, 1, 1000.0),
+              "float32")
+    path = rewrite(tmp_path / "manifest.json", json.loads(example))
+    [record] = validate_manifest(path).records
+    assert record.rendition_id == "amaro-porano-suchitra-mitra-1986"
+    assert record.config.q_grid[0] == -3.0 and record.config.q_grid[-1] == 3.0
+
+
 def test_flagged_windows_csv_parses_cleanly(tmp_path):
     path, _ = write_corpus(tmp_path, n_entries=1, silent=(0,))
     out = tmp_path / "out"
@@ -934,21 +979,27 @@ def test_synth_builds_runnable_corpus(tmp_path, capsys):
     assert len(read_csv(out / "widths.csv")) == 1 + 3 * 2
 
 
-def test_synth_fgn_and_cascade_kinds(tmp_path):
-    for kind in ("fgn", "cascade"):
-        corpus = tmp_path / f"corpus-{kind}"
-        code = main(
-            ["synth", "--out", str(corpus), "--duration", "12", "--rate", "4000",
-             "--parts", "1", "--generations", "1", "--kind", kind]
-        )
-        assert code == 0
-        out = tmp_path / f"out-{kind}"
-        assert main(
-            ["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]
-        ) == 0
+def test_synth_fgn_kind(tmp_path):
+    corpus = tmp_path / "corpus"
+    code = main(
+        ["synth", "--out", str(corpus), "--duration", "12", "--rate", "4000",
+         "--parts", "1", "--generations", "1", "--kind", "fgn"]
+    )
+    assert code == 0
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out)]) == 0
 
 
-@pytest.mark.parametrize("kind", ["cascade-noise", "fgn", "cascade"])
+def test_synth_has_no_cascade_kind(tmp_path, capsys):
+    # every generation of the flat cascade was the same WAV
+    with pytest.raises(SystemExit) as err:
+        main(["synth", "--out", str(tmp_path / "c"), "--kind", "cascade"])
+    assert err.value.code == 2
+    assert "invalid choice: 'cascade'" in capsys.readouterr().err
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("kind", ["cascade-noise", "fgn"])
 def test_synth_zero_rate_exits_2(tmp_path, capsys, kind):
     code = main(["synth", "--out", str(tmp_path / "c"), "--rate", "0", "--kind", kind])
     assert code == 2
@@ -970,7 +1021,7 @@ def test_synth_rate_past_the_wav_byte_rate_exits_2_before_generating(tmp_path, c
     def never(*args, **kwargs):
         raise AssertionError("a generator ran")
 
-    for name in ("gen_cascade_noise", "gen_fgn_prefix", "cascade_masses"):
+    for name in ("gen_cascade_noise", "gen_fgn_prefix"):
         monkeypatch.setattr(cli, name, never)
     corpus = tmp_path / "c"
     code = main(["synth", "--out", str(corpus), "--kind", "fgn", "--rate", rate,

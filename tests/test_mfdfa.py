@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import subprocess
@@ -207,11 +208,13 @@ def test_detrend_basis_is_orthonormal_and_spans_the_polynomials(order, size, mon
     assert np.linalg.norm(outside, 2) <= 1e-12
 
 
-def test_fluctuation_function_unidirectional_counts():
-    prof = compute_profile(np.random.default_rng(1).standard_normal(256))
-    config = MfdfaConfig(scales=[8, 16, 32, 64], bidirectional=False)
-    surface = fluctuation_function(prof, config)
-    assert list(surface.segment_counts) == [32, 16, 8, 4]
+def test_bidirectional_is_a_fixed_constant():
+    # segments are always taken from both ends of the profile (their counts
+    # are pinned in test_fluctuation_function_matches_per_segment_route)
+    assert MfdfaConfig.bidirectional is True
+    assert MfdfaConfig().bidirectional is True
+    with pytest.raises(TypeError):
+        MfdfaConfig(bidirectional=False)
 
 
 def test_digital_silence_is_degenerate():
@@ -504,11 +507,9 @@ def _parabola_spectrum(alpha0=0.8, n=11):
 
 
 def test_width_exact_parabola():
+    # A = -1 and B = 0, so W = sqrt(B^2 - 4A) / (-A) = 2
     res = spectrum_width(_parabola_spectrum())
-    a, b, c = res.quad_coefficients
-    assert a == pytest.approx(-1.0, abs=1e-12)
-    assert b == pytest.approx(0.0, abs=1e-12)
-    assert c == 1.0
+    assert [f.name for f in dataclasses.fields(res)] == ["width", "alpha0", "asymmetry"]
     assert res.width == pytest.approx(2.0, abs=1e-12)
     assert res.asymmetry == pytest.approx(0.0, abs=1e-12)
     assert res.alpha0 == pytest.approx(0.8, abs=1e-12)
@@ -517,8 +518,6 @@ def test_width_exact_parabola():
 def test_width_endpoints_method():
     res = spectrum_width(_parabola_spectrum(), "endpoints")
     assert res.width == pytest.approx(2.0, abs=1e-12)
-    assert res.method == "endpoints"
-    assert res.quad_coefficients is None
     assert math.isnan(res.asymmetry)
 
 

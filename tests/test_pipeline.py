@@ -76,7 +76,7 @@ def test_analyze_rendition_structure(tmp_path):
     assert report.mean_hurst is not None
 
     for part in report.parts:
-        widths = part.window_widths
+        widths = [w.width for w in part.windows if not w.flagged]
         assert part.mean_width == pytest.approx(np.mean(widths), abs=1e-12)
         assert len(part.windows) == part.flagged_count + len(widths)
         for w in part.windows:

@@ -388,6 +388,15 @@ def test_window_plan_accepts_numpy_scalars():
     assert plan.windows_per_part == 4
 
 
+def test_window_plan_needs_one_window_per_part():
+    # a window up to 1e-9 s longer than its part passes the length check;
+    # at 10 ns it is 5% longer, so a part would hold no window
+    with pytest.raises(ConfigError, match="does not fit"):
+        WindowPlan(clip_length=1e-8, part_count=1, part_length=1e-8, window_length=1.05e-8)
+    assert WindowPlan(clip_length=1e-8, part_count=1, part_length=1e-8,
+                      window_length=1e-8).windows_per_part == 1
+
+
 def test_window_spans_sample_arithmetic():
     # 180 s at 22050 Hz from 10 s on -> 180 * 22050 samples from 220,500 on
     plan = WindowPlan(clip_start=10.0, clip_length=180.0, part_count=1, part_length=180.0,
