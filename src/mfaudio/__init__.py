@@ -28,7 +28,6 @@ from .analysis import (
     tau_from_h,
 )
 from .errors import (
-    ClipBoundsError,
     ConfigError,
     DegenerateSegmentError,
     EmptySignalError,
@@ -45,7 +44,6 @@ from .errors import (
 )
 from .manifest import Manifest, validate_manifest
 from .pipeline import (
-    CrossGenerationTable,
     GenerationAggregate,
     PartResult,
     RenditionRecord,

@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import csv
 import ctypes
+import dataclasses
 import json
 import math
 import os
@@ -43,7 +44,7 @@ from .analysis import legendre_spectrum
 from .errors import ManifestError, MfaudioError
 from .manifest import validate_manifest
 from .pipeline import RenditionReport, _check_jobs, _slug, aggregate_generation, run_corpus
-from .signal_io import write_wav
+from .signal_io import WindowPlan, write_wav
 from .synth import gen_cascade_noise, gen_fgn_prefix
 
 
@@ -225,13 +226,13 @@ def _cmd_synth(args) -> int:
     elif not (0 < args.rate < 2**30 and args.rate.is_integer()  # float32 byte rate < 2^32
               and 2 <= args.duration * args.rate < math.inf):
         problem = "rate must be a whole number of Hz in (0, 2^30), and duration * rate at least 2 samples"
-    elif not 0 < args.parts * args.window_seconds <= args.duration:
-        problem = "parts * window-seconds must be positive and at most the duration"
     else:
         problem = None
     if problem:
         print(f"synth error: {problem}", file=sys.stderr)
         return 2
+    plan = WindowPlan(clip_length=args.duration, part_count=args.parts,
+                      part_length=args.duration / args.parts, window_length=args.window_seconds)
 
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
@@ -259,16 +260,7 @@ def _cmd_synth(args) -> int:
 
     manifest = {
         "version": 1,
-        "defaults": {
-            "window_plan": {
-                "clip_start": 0.0,
-                "clip_length": args.duration,
-                "part_count": args.parts,
-                "part_length": args.duration / args.parts,
-                "window_length": args.window_seconds,
-            },
-            "mfdfa": {},
-        },
+        "defaults": {"window_plan": dataclasses.asdict(plan), "mfdfa": {}},
         "entries": entries,
     }
     manifest_path = out / "manifest.json"

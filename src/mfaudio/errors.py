@@ -38,7 +38,7 @@ class MfaudioError(Exception):
 
 
 class WavFormatError(MfaudioError):
-    """The file is not a well-formed RIFF/WAVE container."""
+    """The file cannot be read as a RIFF/WAVE container."""
 
 
 class UnsupportedCodecError(MfaudioError):
@@ -51,10 +51,6 @@ class EmptySignalError(MfaudioError):
 
 class NonFiniteDataError(MfaudioError):
     """Samples or derived quantities contain NaN or infinity."""
-
-
-class ClipBoundsError(MfaudioError):
-    """A requested clip lies outside the signal."""
 
 
 class InsufficientAudioError(MfaudioError):

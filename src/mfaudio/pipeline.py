@@ -171,15 +171,6 @@ class GenerationAggregate:
     overall_mean_width: float
 
 
-@dataclass(frozen=True)
-class CrossGenerationTable:
-    """Generation-by-part matrix of mean widths for one song."""
-
-    song_id: str
-    generation_indices: tuple[int, ...]
-    mean_widths: np.ndarray  # shape (len(generation_indices), part_count)
-
-
 def run_corpus(manifest, jobs: int = 1):
     """Analyze every record of a validated Manifest, in manifest order.
 
@@ -372,18 +363,14 @@ def aggregate_generation(reports, song_id: str) -> list[GenerationAggregate]:
     return aggregates
 
 
-def cross_generation_table(reports) -> CrossGenerationTable:
-    """Matrix of mean widths: rows are generations (ascending), columns parts."""
+def cross_generation_table(reports) -> list[GenerationAggregate]:
+    """``aggregate_generation`` for the one song of ``reports``, which must
+    hold at least one report and no second song."""
     reports = list(reports)
     if not reports:
         raise SchemaError("no reports to tabulate")
     songs = {r.record.song_id for r in reports}
     if len(songs) != 1:
         raise SchemaError(f"expected reports of one song, got {sorted(songs)}")
-    song_id = songs.pop()
-    aggregates = aggregate_generation(reports, song_id)
-    matrix = np.array([a.part_mean_widths for a in aggregates], dtype=float)
-    return CrossGenerationTable(
-        song_id, tuple(a.generation_index for a in aggregates), matrix
-    )
+    return aggregate_generation(reports, songs.pop())
 

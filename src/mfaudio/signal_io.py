@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    ClipBoundsError,
     ConfigError,
     EmptySignalError,
     InsufficientAudioError,
@@ -147,7 +146,7 @@ def decode_wav(path: str | Path) -> Signal:
     They are read in blocks of ``_DECODE_BLOCK_SAMPLES``, each converted,
     and mixed down by per-frame channel average, into its slice of the result.
 
-    Raises WavFormatError for a missing or corrupt container,
+    Raises WavFormatError for a file it cannot open or a corrupt container,
     UnsupportedCodecError for compressed codecs, EmptySignalError for a
     data chunk with zero frames, and NonFiniteDataError, naming the path,
     for a NaN or infinite float sample.
@@ -162,7 +161,11 @@ def decode_wav(path: str | Path) -> Signal:
 def _wav_layout(path: str | Path) -> _WavLayout:
     """Walk the chunk headers of ``path`` and check its codec; decode_wav's
     errors, except the one for a non-finite sample."""
-    with open(path, "rb") as handle:
+    try:
+        handle = open(path, "rb")
+    except OSError as err:  # e.g. a directory, or no read permission
+        raise WavFormatError(f"{path}: cannot read: {err.strerror}") from err
+    with handle:
         header = handle.read(12)
         if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
             raise WavFormatError(f"{path}: not a RIFF/WAVE file")
@@ -326,15 +329,10 @@ def partition_windows(signal: Signal, plan: WindowPlan) -> list[list[Signal]]:
 def _window_spans(n_samples: int, rate: float, plan: WindowPlan) -> list[list[tuple[int, int]]]:
     """The plan's windows as [start, stop) indices into ``n_samples``
     samples at ``rate``, part by part; a window is cut at the clip's end."""
-    if plan.required_seconds > n_samples / rate + 1e-9:
-        raise InsufficientAudioError(plan.required_seconds, n_samples / rate)
     i0 = math.floor(plan.clip_start * rate + _FLOOR_GUARD)
     i1 = math.floor(plan.required_seconds * rate + _FLOOR_GUARD)
-    if i1 > n_samples:  # the 1e-9 s above can span a sample at a high rate
-        raise ClipBoundsError(
-            f"clip [{plan.clip_start:g} s, {plan.required_seconds:g} s) ends beyond the "
-            f"{n_samples / rate:g} s signal"
-        )
+    if i1 > n_samples:
+        raise InsufficientAudioError(plan.required_seconds, n_samples / rate)
     if i1 <= i0:
         raise EmptySignalError(f"clip of {plan.clip_length:g} s holds no samples at this rate")
 

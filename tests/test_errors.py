@@ -19,7 +19,6 @@ INSTANCES = {
     errors.UnsupportedCodecError: (errors.UnsupportedCodecError("codec 85"), []),
     errors.EmptySignalError: (errors.EmptySignalError("zero samples"), []),
     errors.NonFiniteDataError: (errors.NonFiniteDataError("NaN"), []),
-    errors.ClipBoundsError: (errors.ClipBoundsError("beyond the end"), []),
     errors.InsufficientAudioError: (
         errors.InsufficientAudioError(10.0, 5.0), ["required_seconds", "available_seconds"]
     ),

@@ -17,7 +17,9 @@ import pytest
 from mfaudio import (
     ManifestError,
     NonFiniteDataError,
+    RenditionReport,
     Signal,
+    WavFormatError,
     decode_wav,
     gen_cascade_noise,
     partition_windows,
@@ -709,6 +711,26 @@ def test_one_stream_keeps_every_outcome_at_any_jobs(tmp_path, capsys):
     assert "zero fluctuation" in rows[2][13]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_unreadable_wav_fails_its_rendition_only(tmp_path, jobs):
+    # a WAV that becomes a directory after validation cannot be opened even
+    # by a user who may read any file, as one without read permission
+    # cannot by any other user
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--generations", "3", "--duration", "4",
+                 "--rate", "4000", "--parts", "2", "--window-seconds", "1"]) == 0
+    manifest = validate_manifest(corpus / "manifest.json")
+    wav = corpus / "audio" / "gen02.wav"
+    wav.unlink()
+    wav.mkdir()
+    outcomes, failures = pipeline.run_corpus(manifest, jobs=jobs)
+    first, second, third = outcomes
+    assert isinstance(first, RenditionReport) and isinstance(third, RenditionReport)
+    assert isinstance(second, WavFormatError) and failures == [second]
+    rendition_id = manifest.records[1].rendition_id
+    assert str(second).startswith(f"rendition {rendition_id}: {wav}: cannot read: ")
+
+
 @needs_two_cpus
 def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch):
     # 5 entries of 4 windows at one window per chunk queue 20 chunks at once.
@@ -770,11 +792,11 @@ def test_plot_data_matches_cross_generation_table(tmp_path):
     outcomes, _ = run_corpus(vm(path))
     table = cross_generation_table(outcomes)
     rows = read_csv(out / "plot_song-x.csv")[1:]
-    assert len(rows) == table.mean_widths.size
+    assert len(rows) == sum(len(agg.part_mean_widths) for agg in table)
     for row in rows:
         g = int(row[1]) - 1
         p = int(row[2]) - 1
-        assert float(row[3]) == table.mean_widths[g, p]  # 17 digits: exact
+        assert float(row[3]) == table[g].part_mean_widths[p]  # 17 digits: exact
 
     combined = read_csv(out / "plot_all_songs.csv")[1:]
     assert combined == rows  # single song: identical content
@@ -1038,6 +1060,25 @@ def test_synth_accepts_the_highest_float32_wav_rate(tmp_path):
     assert code == 0
     header = (corpus / "audio" / "gen01.wav").read_bytes()[:44]
     assert struct.unpack_from("<II", header, 24) == (2**30 - 1, (2**30 - 1) * 4)
+
+
+def test_synth_checks_its_plan_through_window_plan(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    code = main(["synth", "--out", str(corpus), "--duration", "12", "--parts", "2",
+                 "--window-seconds", "7"])
+    assert code == 2
+    assert capsys.readouterr().err == "synth error: window of 7 s does not fit in a 6 s part\n"
+    assert not corpus.exists()
+
+
+def test_synth_accepts_a_plan_that_run_accepts(tmp_path, capsys):
+    # a window 1e-10 s longer than its 30 s part is within WindowPlan's
+    # 1e-9 s tolerance, for synth as for run
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--generations", "1", "--rate", "100",
+                 "--duration", "180", "--parts", "6", "--window-seconds", "30.0000000001"]) == 0
+    assert main(["run", "--manifest", str(corpus / "manifest.json"), "--dry-run"]) == 0
+    assert capsys.readouterr().out.endswith("manifest OK: 1 entry\n")
 
 
 def test_synth_negative_seed_exits_2(tmp_path, capsys):

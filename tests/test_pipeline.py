@@ -324,21 +324,23 @@ def test_cross_generation_table_shape_and_order():
         for g in (3, 1, 5, 2, 4)  # deliberately out of order
     ]
     table = cross_generation_table(reports)
-    assert table.mean_widths.shape == (5, 4)
-    assert table.generation_indices == (1, 2, 3, 4, 5)
-    assert np.allclose(table.mean_widths[0], [0.1, 0.2, 0.3, 0.4])
-    assert np.allclose(table.mean_widths[4], [0.5, 1.0, 1.5, 2.0])
+    assert table == aggregate_generation(reports, "song-a")
+    assert [agg.generation_index for agg in table] == [1, 2, 3, 4, 5]
+    assert all(len(agg.part_mean_widths) == 4 for agg in table)
+    assert np.allclose(table[0].part_mean_widths, [0.1, 0.2, 0.3, 0.4])
+    assert np.allclose(table[4].part_mean_widths, [0.5, 1.0, 1.5, 2.0])
 
 
 def test_cross_generation_table_single_rendition():
     report = synthetic_report([0.46, 0.30, 0.39, 0.20])
-    table = cross_generation_table([report])
-    assert table.mean_widths.shape == (1, 4)
-    assert np.allclose(table.mean_widths[0], [0.46, 0.30, 0.39, 0.20])
+    [agg] = cross_generation_table([report])
+    assert agg.part_mean_widths == (0.46, 0.30, 0.39, 0.20)
 
 
 def test_cross_generation_table_rejects_mixed_songs():
-    with pytest.raises(SchemaError):
+    with pytest.raises(SchemaError, match="no reports"):
+        cross_generation_table([])
+    with pytest.raises(SchemaError, match="one song"):
         cross_generation_table(
             [synthetic_report([0.4], song_id="a"), synthetic_report([0.5], song_id="b")]
         )

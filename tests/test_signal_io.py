@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from mfaudio import signal_io
 from mfaudio import (
-    ClipBoundsError,
     ConfigError,
     EmptySignalError,
     InsufficientAudioError,
@@ -406,12 +405,12 @@ def test_window_spans_sample_arithmetic():
 
 
 def test_window_spans_clip_bounds():
-    # at 2 GHz the 1e-9 s tolerance of the InsufficientAudioError check
-    # spans two samples: a 1.5 ns clip of a 1 ns signal passes it, and
-    # ends at sample 3 of 2
+    # the clip's end is compared with the signal in samples, at any rate:
+    # at 2 GHz a 1.5 ns clip ends at sample 3 of a 1 ns signal's 2
     plan = WindowPlan(clip_length=1.5e-9, part_count=1, part_length=1.5e-9, window_length=1.5e-9)
-    with pytest.raises(ClipBoundsError):
+    with pytest.raises(InsufficientAudioError) as err:
         signal_io._window_spans(2, 2e9, plan)
+    assert (err.value.required_seconds, err.value.available_seconds) == (1.5e-9, 1e-9)
     # a clip cannot start before the signal
     with pytest.raises(ConfigError, match="clip_start must be >= 0"):
         WindowPlan(clip_start=-1.0, clip_length=1.0, part_count=1, part_length=1.0,
@@ -420,6 +419,22 @@ def test_window_spans_clip_bounds():
     plan = WindowPlan(clip_length=0.01, part_count=1, part_length=0.01, window_length=0.01)
     with pytest.raises(EmptySignalError):
         signal_io._window_spans(10, 10.0, plan)
+
+
+def test_window_spans_accept_a_clip_ending_within_the_last_sample():
+    # 10.5 samples at 10 Hz end half a sample after the tenth: every
+    # window's samples exist, and the spans are those of longer audio
+    plan = WindowPlan(clip_length=1.05, part_count=1, part_length=1.05, window_length=0.5)
+    assert signal_io._window_spans(10, 10.0, plan) == [[(0, 5), (5, 10)]]
+    assert signal_io._window_spans(10, 10.0, plan) == signal_io._window_spans(11, 10.0, plan)
+
+
+def test_window_spans_reject_a_clip_one_sample_short():
+    plan = WindowPlan(clip_length=1.1, part_count=1, part_length=1.1, window_length=0.5)
+    with pytest.raises(InsufficientAudioError) as err:
+        signal_io._window_spans(10, 10.0, plan)
+    assert (err.value.required_seconds, err.value.available_seconds) == (1.1, 1.0)
+    assert str(err.value) == "plan requires 1.1 s of audio, only 1 s available"
 
 
 def test_partition_six_parts_five_windows():
