@@ -11,10 +11,12 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
                  from its end
 3. q-order mean  F_q(s) = { mean_v [F^2(s, v)]^(q/2) }^(1/q)
                  F_0(s) = exp{ 0.5 * mean_v ln F^2(s, v) }
-                 taken over all scales at once on ln F^2, in cache-sized
-                 blocks of q rows, anchored at each scale's maximum for
-                 q > 0 and its minimum for q < 0, so |q| up to 200
-                 (tested) neither overflows nor underflows
+                 taken over all scales on ln F^2, anchored at each
+                 scale's maximum for q > 0 and its minimum for q < 0, so
+                 |q| up to 200 (tested) neither overflows nor underflows;
+                 each term is a product exp(b h) exp(o h) of about
+                 2 sqrt(K) shared rows of exponentials for a sign's K
+                 orders, and each scale's sums are one matrix product
 4. scaling       F_q(s) ~ s^h(q), fitted by OLS in ln-ln space
 5. spectrum      tau(q) = q h(q) - 1;  alpha = h + q h';
                  f(alpha) = q (alpha - h) + 1
@@ -22,8 +24,9 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
                  quadratic A (alpha - alpha_0)^2 + B (alpha - alpha_0) + C
                  fitted around the spectrum apex with C pinned to 1
 
-Natural logarithms are used throughout, and every reduction sums in fixed
-input order, so results are bit-identical regardless of scheduling.
+Natural logarithms are used throughout, and every reduction sums in an
+order fixed by its input's shape, so results are bit-identical regardless
+of scheduling or BLAS threads.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ APEX_FLOOR = 0.5
 # with a tenth of 1e-7-amplitude noise stays above 2,000, and noise,
 # fGn and cascade oracles above 1e5.
 SILENCE_ULPS = 32.0
-# _q_moments takes q rows in blocks of about this many terms, one reused
-# buffer of 1 MiB (inside a 2 MiB L2), not all (q rows x segments) at once.
+# _q_moments exponentiates the segments in chunks of about this many terms,
+# one reused buffer of 1 MiB (inside a 2 MiB L2), not all rows at once.
 _Q_BLOCK_TERMS = 2**17
 
 
@@ -379,22 +382,47 @@ def _q_moments(logs: np.ndarray, starts: np.ndarray, q: np.ndarray,
     scale's maximum for q > 0 and its minimum for q < 0, so every
     exponent is <= 0, each scale's largest term is exactly 1, and no
     order overflows or underflows.
+
+    Each term is exp(q h) = exp(b h) exp(o h), two exact exponentials:
+    a sign's K orders, sorted by |q|, fall in blocks of ceil(sqrt(K)),
+    each block's first q is the base b of its orders, and o = q - b is
+    the offset.  Offsets within 4 ulp of the largest |q| share one row,
+    so a uniform grid exponentiates about 2 sqrt(K) rows, and each
+    scale's base x offset sums are one matrix product.
     """
-    counts = np.diff(np.append(starts, logs.size))
+    ends = np.append(starts[1:], logs.size)
+    counts = ends - starts
     out = np.empty((q.size, starts.size))
     near_zero = np.abs(q) <= q_zero_epsilon
     out[near_zero] = np.exp(0.5 * np.add.reduceat(logs, starts) / counts)
-    block_rows = max(1, _Q_BLOCK_TERMS // logs.size)
-    terms = np.empty((min(block_rows, q.size), logs.size))
+    terms = np.empty(max(_Q_BLOCK_TERMS, q.size + 1))
     for sign, extreme in ((q > q_zero_epsilon, np.maximum), (q < -q_zero_epsilon, np.minimum)):
+        rows = np.flatnonzero(sign)
+        if rows.size == 0:
+            continue
+        rows = rows[np.argsort(np.abs(q[rows]))]
+        block = math.ceil(math.sqrt(rows.size))
+        block_of = np.arange(rows.size) // block
+        bases = q[rows[::block]]
+        offsets = q[rows] - bases[block_of]
+        order = np.argsort(offsets)
+        apart = np.diff(offsets[order]) > 4 * np.spacing(np.abs(q[rows[-1]]))
+        offset_of = np.cumsum(np.append(0, apart))[np.argsort(order)]
+        factors = 0.5 * np.concatenate((bases, offsets[order][np.append(True, apart)]))
         anchor = extreme.reduceat(logs, starts)
         shifted = logs - np.repeat(anchor, counts)
-        rows = np.flatnonzero(sign)
-        for i in range(0, rows.size, block_rows):
-            block = rows[i : i + block_rows]
-            exps = np.multiply.outer(0.5 * q[block], shifted, out=terms[: block.size])
-            sums = np.add.reduceat(np.exp(exps, out=exps), starts, axis=1)
-            out[block] = np.exp(0.5 * anchor + np.log(sums / counts) / q[block, np.newaxis])
+        sums = np.zeros((starts.size, bases.size, factors.size - bases.size))
+        width = max(1, _Q_BLOCK_TERMS // factors.size)
+        for lo in range(0, logs.size, width):  # segments [lo, hi) of every scale
+            hi = min(lo + width, logs.size)
+            exps = terms[: factors.size * (hi - lo)].reshape(factors.size, hi - lo)
+            np.multiply.outer(factors, shifted[lo:hi], out=exps)
+            np.exp(exps, out=exps)
+            for j in range(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)):
+                v = slice(max(starts[j], lo) - lo, min(ends[j], hi) - lo)
+                sums[j] += exps[: bases.size, v] @ exps[bases.size :, v].T
+        means = sums[:, block_of, offset_of].T / counts
+        out[rows] = np.exp(0.5 * anchor + np.log(means) / q[rows, np.newaxis])
     return out
 
 

@@ -19,7 +19,7 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -161,11 +161,7 @@ def decode_wav(path: str | Path) -> Signal:
 def _wav_layout(path: str | Path) -> _WavLayout:
     """Walk the chunk headers of ``path`` and check its codec; decode_wav's
     errors, except the one for a non-finite sample."""
-    try:
-        handle = open(path, "rb")
-    except OSError as err:  # e.g. a directory, or no read permission
-        raise WavFormatError(f"{path}: cannot read: {err.strerror}") from err
-    with handle:
+    with _open(path) as handle:
         header = handle.read(12)
         if len(header) < 12 or header[0:4] != b"RIFF" or header[8:12] != b"WAVE":
             raise WavFormatError(f"{path}: not a RIFF/WAVE file")
@@ -205,6 +201,15 @@ def _wav_layout(path: str | Path) -> _WavLayout:
     return _WavLayout(path, data_at, tag, bits, channels, float(rate), n_frames)
 
 
+def _open(path: str | Path) -> BinaryIO:
+    """``path`` opened for binary reading; WavFormatError, naming the path,
+    if it cannot be (deleted, a directory, or no read permission)."""
+    try:
+        return open(path, "rb")
+    except OSError as err:
+        raise WavFormatError(f"{path}: cannot read: {err.strerror}") from err
+
+
 def _decode_frames(layout: _WavLayout, start: int, stop: int) -> np.ndarray:
     """Frames [start, stop) of a WAV as mono float64, decoded block by block.
 
@@ -218,11 +223,13 @@ def _decode_frames(layout: _WavLayout, start: int, stop: int) -> np.ndarray:
     mono = np.empty(stop - start)
     block_frames = max(1, _DECODE_BLOCK_SAMPLES // channels)
     frames = np.empty((min(block_frames, stop - start), channels)) if channels > 1 else None
-    with open(layout.path, "rb") as handle:
+    with _open(layout.path) as handle:
         handle.seek(layout.data_at + start * frame_size)
         for a in range(0, stop - start, block_frames):
             b = min(a + block_frames, stop - start)
             raw = handle.read((b - a) * frame_size)
+            if len(raw) < (b - a) * frame_size:  # cut short since its header was read
+                raise WavFormatError(f"{layout.path}: file ends before frame {start + b}")
             if frames is None:
                 _decode_into(raw, layout.tag, layout.bits, mono[a:b])
                 continue
@@ -242,7 +249,7 @@ def _require_finite(layout: _WavLayout) -> None:
     if layout.tag != _WAVE_FORMAT_IEEE_FLOAT:
         return
     size = layout.n_frames * layout.channels * 4
-    with open(layout.path, "rb") as handle:
+    with _open(layout.path) as handle:
         handle.seek(layout.data_at)
         for at in range(0, size, _SCAN_BLOCK_BYTES):
             raw = handle.read(min(_SCAN_BLOCK_BYTES, size - at))

@@ -731,6 +731,43 @@ def test_an_unreadable_wav_fails_its_rendition_only(tmp_path, jobs):
     assert str(second).startswith(f"rendition {rendition_id}: {wav}: cannot read: ")
 
 
+@pytest.mark.parametrize("damage, reason", [
+    ("deleted", "cannot read: No such file or directory"),
+    ("truncated", "file ends before frame 4000"),
+], ids=["deleted", "truncated"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_wav_damaged_after_planning_fails_its_rendition_only(
+        tmp_path, capsys, monkeypatch, jobs, damage, reason):
+    # each window opens its WAV again when it is decoded, in a worker at
+    # --jobs 2, so the file can be gone or cut short by then
+    corpus, out = tmp_path / "c", tmp_path / "out"
+    assert main(["synth", "--out", str(corpus), "--generations", "3", "--duration", "4",
+                 "--rate", "4000", "--parts", "2", "--window-seconds", "1"]) == 0
+    ids = [r.rendition_id for r in validate_manifest(corpus / "manifest.json").records]
+    wav = corpus / "audio" / "gen02.wav"
+    plan = pipeline._plan_rendition
+
+    def plan_then_damage(record, signal=None):
+        tasks = plan(record, signal)
+        if record.audio_path == wav:
+            if damage == "deleted":
+                wav.unlink()
+            else:
+                os.truncate(wav, 1000)  # inside the first window's samples
+        return tasks
+
+    monkeypatch.setattr(pipeline, "_plan_rendition", plan_then_damage)
+    capsys.readouterr()
+    code = main(["run", "--manifest", str(corpus / "manifest.json"), "--out", str(out),
+                 "--jobs", str(jobs)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: rendition {ids[1]} part 1 window 1: {wav}: {reason}\n"
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith("spectrum_")) == [
+        f"spectrum_{ids[0]}.csv", f"spectrum_{ids[2]}.csv"]
+    with open(out / "windows.csv", newline="", encoding="utf-8") as handle:
+        assert {row["generation"] for row in csv.DictReader(handle)} == {"1", "3"}
+
+
 @needs_two_cpus
 def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch):
     # 5 entries of 4 windows at one window per chunk queue 20 chunks at once.

@@ -326,8 +326,9 @@ def test_fluctuation_matches_lstsq_reference(reference_signals, order):
 
 @pytest.mark.parametrize(
     "q_grid",
-    [None, build_q_grid(-5.0, 5.0, 0.05), [-200.0, -50.0, -5.0, 0.0, 2.0, 5.0, 50.0, 200.0]],
-    ids=["default", "201-q", "extreme"],
+    [None, build_q_grid(-5.0, 5.0, 0.05), [-200.0, -50.0, -5.0, 0.0, 2.0, 5.0, 50.0, 200.0],
+     [-3.7, -1.1, -0.3, 0.0, 0.1, 2.0, 4.4], [2.0]],
+    ids=["default", "201-q", "extreme", "irregular", "one-value"],
 )
 def test_q_moments_match_lse_reference(reference_signals, q_grid):
     # all scales share one sign-anchored pass; the reference takes each
@@ -342,6 +343,28 @@ def test_q_moments_match_lse_reference(reference_signals, q_grid):
             np.testing.assert_allclose(
                 surface.values[:, j], expected, rtol=1e-12, atol=0, err_msg=f"{name} s={s}"
             )
+
+
+@pytest.mark.parametrize("q_grid", [None, build_q_grid(-5.0, 5.0, 0.05)], ids=["default", "201-q"])
+def test_q_moments_exponentiate_about_2_sqrt_k_rows_per_sign(monkeypatch, q_grid):
+    # each term is exp(base h) exp(offset h), so a sign's K orders need
+    # ceil(sqrt(K)) bases and as many shared offsets; an offset tolerance
+    # that stopped matching would bring back K rows
+    q = MfdfaConfig(q_grid=q_grid).q_grid
+    k = np.count_nonzero(q > 0)
+    assert k == np.count_nonzero(q < 0)
+    msq = gen_white_noise(10_000, 3).samples ** 2
+    exp, exponentiated = np.exp, []
+
+    def counting_exp(x, *args, **kwargs):
+        exponentiated.append(np.size(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    q_order_means(msq, q)
+    # on one scale, one exponential per q follows the rows of terms
+    rows = (sum(exponentiated) - q.size) / msq.size
+    assert rows <= 2 * (2 * math.ceil(math.sqrt(k)) + 2), rows
 
 
 def test_order_one_fluctuation_matches_extended_precision_on_cascade():
@@ -393,11 +416,15 @@ def test_analysis_leaves_numpy_ma_unimported():
 
 
 def test_fluctuation_bytes_do_not_depend_on_blas_threads():
+    # the q-moment sums are matrix products, which on the 201-q grid reach
+    # sizes where OpenBLAS may use threads
     script = (
         "import sys\n"
-        "from mfaudio import compute_profile, fluctuation_function, gen_fgn_prefix\n"
+        "from mfaudio import MfdfaConfig, compute_profile, fluctuation_function, gen_fgn_prefix\n"
+        "from mfaudio.manifest import build_q_grid\n"
         "profile = compute_profile(gen_fgn_prefix(0.7, 132_300, 4))\n"
-        "sys.stdout.buffer.write(fluctuation_function(profile).values.tobytes())\n"
+        "for config in (MfdfaConfig(), MfdfaConfig(q_grid=build_q_grid(-5.0, 5.0, 0.05))):\n"
+        "    sys.stdout.buffer.write(fluctuation_function(profile, config).values.tobytes())\n"
     )
     src = str(Path(mfaudio.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -409,7 +436,7 @@ def test_fluctuation_bytes_do_not_depend_on_blas_threads():
         ).stdout
         for threads in ("1", "2")
     ]
-    assert len(outputs[0]) == 41 * 20 * 8
+    assert len(outputs[0]) == (41 + 201) * 20 * 8
     assert outputs[0] == outputs[1]
 
 
