@@ -77,4 +77,5 @@ from .synth import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# every public name but the submodules, which the imports above also bind
+__all__ = [n for n, v in globals().items() if n[0] != "_" and type(v) is not type(analysis)]

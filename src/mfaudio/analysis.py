@@ -60,6 +60,9 @@ APEX_FLOOR = 0.5
 # with a tenth of 1e-7-amplitude noise stays above 2,000, and noise,
 # fGn and cascade oracles above 1e5.
 SILENCE_ULPS = 32.0
+# The width fit refuses u whose angle to u^2 has a sine <= sqrt(eps): fewer
+# than half of B's digits survive, and at 0 two unknowns have one equation.
+_SINE_FLOOR = math.sqrt(np.finfo(float).eps)
 # _q_moments exponentiates the segments in chunks of about this many terms,
 # one reused buffer of 1 MiB (inside a 2 MiB L2), not all rows at once.
 _Q_BLOCK_TERMS = 2**17
@@ -286,7 +289,8 @@ def compute_profile(signal) -> Profile:
         raise EmptySignalError("cannot profile an empty series")
     if not np.all(np.isfinite(x)):
         raise NonFiniteDataError("series contains NaN or infinity")
-    return Profile(np.cumsum(x - x.mean()))
+    y = x - x.mean()
+    return Profile(np.cumsum(y, out=y))
 
 
 # Orthonormal bases stay cached per (s, order): a window's default grid
@@ -306,15 +310,16 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     that outweigh the bases, and OpenBLAS hands long 1-D dots to a helper
     thread.  Read-only because it is shared.
     """
-    x = (2.0 * np.arange(s) - (s - 1)) / (s - 1)
-    rows = np.empty((order + 1, s))
-    for k in range(order + 1):
-        v = x**k
+    x = np.arange(1 - s, s, 2, dtype=float)  # 2 i - (s - 1), scaled in place
+    x /= s - 1
+    rows, scratch = np.empty((order + 1, s)), np.empty(s)
+    for k, v in enumerate(rows):
+        np.power(x, k, out=v)
         for _ in range(2):
             coefs = [np.einsum("i,i", q, v) for q in rows[:k]]
             for c, q in zip(coefs, rows[:k]):
-                v -= c * q
-        rows[k] = v / math.sqrt(np.einsum("i,i", v, v))
+                v -= np.multiply(c, q, out=scratch)
+        v /= math.sqrt(np.einsum("i,i", v, v))
     basis = np.ascontiguousarray(rows.T)
     basis.flags.writeable = False
     return basis
@@ -543,7 +548,10 @@ def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> 
 
     quadratic: least-squares fit of f = A u^2 + B u + 1 (u = alpha -
     alpha_0, alpha_0 at the apex) over the points with f >= APEX_FLOOR;
-    W is the separation of the parabola's roots at f = 0.  endpoints:
+    W is the separation of the parabola's roots at f = 0.  (u^2, u) = QR
+    by Gram-Schmidt applied twice, as in ``_detrend_basis``, not by LAPACK
+    or the normal equations; fewer than two distinct nonzero u raise
+    InsufficientSpectrumError.  endpoints:
     W = max(alpha) - min(alpha) over the q grid, an alternative width
     chosen by ``MfdfaConfig.width_method`` (the pipeline flags windows
     whose parabola is not concave rather than switching method).
@@ -560,17 +568,25 @@ def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> 
         raise ConfigError(f"unknown width method {method!r}")
 
     mask = f >= APEX_FLOOR
-    u = alpha[mask] - alpha0
-    if _distinct(u).size < 2:
+    u, y = alpha[mask] - alpha0, f[mask] - 1.0
+    q1 = u * u  # (u^2, u) = (q1, q2 / r22) R; a zero or NaN r11 is refused below
+    r11 = math.sqrt(np.einsum("i,i", q1, q1))
+    q1 /= r11 or 1.0
+    q2, r12 = u.copy(), 0.0
+    for _ in range(2):
+        c = float(np.einsum("i,i", q1, q2))
+        q2 -= c * q1
+        r12 += c
+    r22 = math.sqrt(np.einsum("i,i", q2, q2))
+    if not (r11 > 0.0 and r22 > _SINE_FLOOR * math.sqrt(np.einsum("i,i", u, u))):
         raise InsufficientSpectrumError("apex neighbourhood too narrow for a quadratic fit")
-    design = np.column_stack([u * u, u])
-    a, b = np.linalg.lstsq(design, f[mask] - 1.0, rcond=None)[0]
+    b = float(np.einsum("i,i", q2, y)) / (r22 * r22)
+    a = (float(np.einsum("i,i", q1, y)) - r12 * b) / r11
     if a >= 0:
         raise NonConcaveSpectrumError(
             f"fitted leading coefficient A = {a:g} is not negative"
         )
-    width = math.sqrt(b * b - 4.0 * a) / (-a)  # root separation with C = 1
-    return WidthResult(width, alpha0, float(b))
+    return WidthResult(math.sqrt(b * b - 4.0 * a) / -a, alpha0, b)  # roots' separation, C = 1
 
 
 def _staged(stage: str, fn, *args):

@@ -15,9 +15,9 @@ separator, fixed column order):
 ``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it maps the
 windows of every rendition, queued as one stream, over a pool of forked
 worker processes (capped at ``pipeline._usable_cpus()``, the CPUs this
-process may run on); the outputs are identical for any N.  Before the run
-it pins glibc's malloc thresholds (``_pin_malloc_thresholds``), and the
-forked workers inherit them.
+process may run on); at 1 it imports no pool.  The outputs are identical
+for any N.  Before the run it pins glibc's malloc thresholds
+(``_pin_malloc_thresholds``), and the forked workers inherit them.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.

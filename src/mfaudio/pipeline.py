@@ -5,24 +5,22 @@ MFDFA, per-part width averaging) and per-generation aggregation.
 parts, each part into windows, as sample spans computed from the WAV
 header alone.  Each window is one task of ``_analyze_window``, a pure
 function of the window and its config, mapped by builtin ``map`` or by
-``pool.map`` over forked worker processes, which sends the tasks in
-batches.  A task travels as its span; the process that runs it decodes
-the window's frames from the file, and a window's error is raised there
-with the window named.  The results are reduced in window order after
-the map, which keeps every mean bit-identical for any pool size.  Windows
-whose analysis degenerates (digital silence, a non-concave spectrum)
-are flagged with the reason and excluded from part means instead of
-poisoning them; a part whose every window is flagged is reported as
-errored.  All means are plain arithmetic means of their listed
-constituents.
+``pool.map`` over forked worker processes (imported only for a pool),
+which sends the tasks in batches.  A task travels as its span; the
+process that runs it decodes the window's frames from the file, and a
+window's error is raised there with the window named.  The results are
+reduced in window order after the map, which keeps every mean
+bit-identical for any pool size.  Windows whose analysis degenerates
+(digital silence, a non-concave spectrum) are flagged with the reason and
+excluded from part means instead of poisoning them; a part whose every
+window is flagged is reported as errored.  All means are plain arithmetic
+means of their listed constituents.
 """
 
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -181,11 +179,11 @@ def run_corpus(manifest, jobs: int = 1):
     in manifest order.  With ``min(jobs, _usable_cpus())`` above 1, a
     ``pool.map`` per record queues its windows at once, in batches, on a
     pool of that many forked worker processes; else builtin ``map`` runs
-    each window in this process when its record is reduced.  Either way
-    the process that analyses a window builds a detrending basis the
-    first time it needs one.  Outcomes do not depend on ``jobs``.  A
-    window error cancels its record's batches not yet started; an
-    unexpected exception cancels every one.
+    each window in this process when its record is reduced, and the pool
+    is never imported.  Either way the process that analyses a window
+    builds a detrending basis the first time it needs one.  Outcomes do
+    not depend on ``jobs``.  A window error cancels its record's batches
+    not yet started; an unexpected exception cancels every one.
     """
     _check_jobs(jobs)
     workers = min(jobs, _usable_cpus())
@@ -197,6 +195,8 @@ def run_corpus(manifest, jobs: int = 1):
         # pinned malloc thresholds, which spawned ones would not; each builds
         # the detrending bases it needs on first use.  The pool forks them
         # all at its first submit, before it starts a thread of its own.
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
     try:
         # every map is called before any record is reduced: pool.map

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import ctypes
 import json
@@ -6,6 +7,8 @@ import multiprocessing
 import os
 import pickle
 import struct
+import subprocess
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -434,7 +437,7 @@ def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
         requested.append((max_workers, mp_context.get_start_method()))
         return ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", recording_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
     path, _ = write_corpus(tmp_path, n_entries=1)
     for jobs in (1, 100000):
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
@@ -448,12 +451,42 @@ def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
 def test_jobs_is_capped_at_the_cpus_this_process_may_use(tmp_path, monkeypatch):
     # a cpuset or taskset of one CPU leaves one worker, whatever the machine has
     requested = []
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", lambda **kw: requested.append(kw))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: requested.append(kw))
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     path, _ = write_corpus(tmp_path, n_entries=1)
     assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == 0
     assert requested == []
+
+
+def test_a_serial_run_imports_no_pool(tmp_path):
+    # multiprocessing and the process pool cost a --jobs 1 run about 1.9 MiB
+    # of peak RSS; run_corpus imports them only for a pool
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    script = (
+        "import sys\n"
+        "from mfaudio.cli import main\n"
+        f"code = main(['run', '--manifest', {str(path)!r}, '--out', {str(tmp_path / 'out')!r},"
+        " '--jobs', '1'])\n"
+        "print(code, *(name in sys.modules\n"
+        "              for name in ('multiprocessing', 'concurrent.futures.process')))\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": env_path},
+        capture_output=True, check=True, text=True,
+    ).stdout.splitlines()[-1].split()
+    assert out == ["0", "False", "False"]
+    assert (tmp_path / "out" / "windows.csv").exists()
+
+
+def test_a_star_import_binds_no_module():
+    namespace = {}
+    exec("from mfaudio import *", namespace)
+    modules = [name for name, value in namespace.items() if type(value) is type(sys)]
+    assert modules == []
+    assert namespace["mfdfa"] is analysis.mfdfa
 
 
 def recording_pin(monkeypatch):
@@ -571,7 +604,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
             sizes.append(len(pickle.dumps((fn, args, kwargs))))
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", MeasuringPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MeasuringPool)
     path, _ = write_corpus(tmp_path, n_entries=1, rate=22050.0, seconds=60.0)
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):

@@ -574,6 +574,71 @@ def test_width_rejects_convex_spectrum():
         spectrum_width(spec)
 
 
+def _lstsq_width(spectrum):
+    """(W, B) of the quadratic width fit by LAPACK least squares."""
+    f, alpha = spectrum.f_alpha, spectrum.alpha
+    mask = f >= 0.5
+    u = alpha[mask] - alpha[np.argmax(f)]
+    a, b = np.linalg.lstsq(np.column_stack([u * u, u]), f[mask] - 1.0, rcond=None)[0]
+    return math.sqrt(b * b - 4.0 * a) / -a, b
+
+
+def test_width_fit_matches_lstsq(cascade_result):
+    alpha = 0.7 + np.linspace(-0.35, 0.6, 41)
+    skewed = 0.98 - 1.6 * (alpha - 0.72) ** 2 + 0.45 * (alpha - 0.72) ** 3
+    spectra = [
+        _parabola_spectrum(),
+        SingularitySpectrum(np.linspace(-5, 5, 41), np.zeros(41), alpha, skewed, True),
+        cascade_result.spectrum,
+    ]
+    for spectrum in spectra:
+        res = spectrum_width(spectrum)
+        width, b = _lstsq_width(spectrum)
+        assert type(res.width) is float and type(res.asymmetry) is float
+        assert res.width == pytest.approx(width, rel=1e-12, abs=0)
+        assert res.asymmetry == pytest.approx(b, rel=0, abs=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [
+    [0.9, 0.7, 0.7, 0.6, 0.2],  # lstsq gave its minimum-norm (A, B): W = 10.96
+    [0.9, 0.6, 0.7, 0.6, 0.2],  # one nonzero offset, twice
+])
+def test_width_refuses_an_underdetermined_fit(alpha):
+    # the points with f >= 1/2 hold the apex and one distinct offset
+    # from it: one equation for A and B
+    f = np.array([0.2, 0.9, 1.0, 0.8, 0.1])
+    spec = SingularitySpectrum(np.linspace(-2, 2, 5), np.zeros(5), np.array(alpha), f, True)
+    with pytest.raises(InsufficientSpectrumError, match="apex neighbourhood too narrow"):
+        spectrum_width(spec)
+    # a second distinct offset determines the fit
+    spec = SingularitySpectrum(spec.q_grid, spec.tau, np.array([0.9, 0.8, 0.7, 0.6, 0.2]), f, True)
+    assert spectrum_width(spec).width == pytest.approx(_lstsq_width(spec)[0], rel=1e-12)
+
+
+def test_width_refuses_a_nan_alpha_near_the_apex():
+    alpha = np.array([0.9, 0.8, 0.7, math.nan, 0.5, 0.2])
+    f = np.array([0.2, 0.9, 1.0, 0.8, 0.7, 0.1])
+    spec = SingularitySpectrum(np.linspace(-2, 2, 6), np.zeros(6), alpha, f, True)
+    with pytest.raises(InsufficientSpectrumError):
+        spectrum_width(spec)
+
+
+def test_mfdfa_calls_no_linear_algebra_routine(monkeypatch):
+    # a window's first LAPACK call maps about 0.9 MiB of library pages
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a window calls np.linalg")
+
+    for name in np.linalg.__all__:
+        if not isinstance(getattr(np.linalg, name), type):
+            monkeypatch.setattr(np.linalg, name, refuse)
+    with pytest.raises(AssertionError):
+        np.linalg.lstsq(np.eye(2), np.ones(2))
+    _detrend_basis.cache_clear()
+    result = mfdfa(gen_cascade_noise(8192, 0.7, 3))
+    assert math.isfinite(result.width.width)
+
+
 # --- whole-analysis properties -------------------------------------------------
 
 def test_mfdfa_is_deterministic():
