@@ -66,6 +66,10 @@ _SINE_FLOOR = math.sqrt(np.finfo(float).eps)
 # _q_moments exponentiates the segments in chunks of about this many terms,
 # one reused buffer of 1 MiB (inside a 2 MiB L2), not all rows at once.
 _Q_BLOCK_TERMS = 2**17
+# Bounds of the settings: float64 holds every integer scale to 2**53, and
+# the detrending basis is tested up to order 8 ((m + 1) s floats per scale).
+_MAX_SCALE = 2**53
+_MAX_DETREND_ORDER = 8
 
 
 def default_q_grid() -> np.ndarray:
@@ -84,6 +88,11 @@ def _distinct(values: np.ndarray) -> np.ndarray:
     return np.concatenate((v[:1], v[1:][new]))
 
 
+def _log_scales(lo: int, hi: int, count: int) -> np.ndarray:
+    """The distinct integers nearest ``count`` log-spaced values from lo to hi."""
+    return _distinct(np.rint(np.geomspace(lo, hi, count)).astype(int))
+
+
 def default_scale_grid(n: int) -> np.ndarray:
     """DEFAULT_SCALE_COUNT log-spaced integer scales covering [DEFAULT_MIN_SCALE, n // 4]."""
     max_scale = n // 4
@@ -92,9 +101,29 @@ def default_scale_grid(n: int) -> np.ndarray:
             f"series of length {n} is too short for scales >= {DEFAULT_MIN_SCALE} "
             f"(needs at least {4 * DEFAULT_MIN_SCALE} samples)"
         )
-    return _distinct(
-        np.rint(np.geomspace(DEFAULT_MIN_SCALE, max_scale, DEFAULT_SCALE_COUNT)).astype(int)
-    )
+    return _log_scales(DEFAULT_MIN_SCALE, max_scale, DEFAULT_SCALE_COUNT)
+
+
+def _fit_span(fit_range, n_scales: int) -> tuple[int, int]:
+    """(lo, hi), the half-open scale-index range of the h(q) fit on an
+    n_scales grid (None: all of it).  ConfigError if not an integer pair,
+    lo < 0 or under 4 scales, on any grid; InsufficientScalesError past
+    the grid's end, or for a whole grid of under 4 scales."""
+    if fit_range is None:
+        if n_scales < 4:
+            raise InsufficientScalesError(f"a {n_scales}-scale grid has fewer than 4 scales to fit")
+        return 0, n_scales
+    if not (isinstance(fit_range, (tuple, list)) and len(fit_range) == 2):
+        raise ConfigError(f"fit_range must be a (start, stop) pair, got {fit_range!r}")
+    for bound in fit_range:
+        check_type("fit_range", bound, int)
+    lo, hi = map(int, fit_range)
+    if not 0 <= lo <= hi - 4:
+        raise ConfigError(f"fit_range ({lo}, {hi}) needs 0 <= start and >= 4 scales to regress")
+    if hi > n_scales:
+        raise InsufficientScalesError(
+            f"fit range ({lo}, {hi}) runs past the grid's end: stop <= {n_scales}")
+    return lo, hi
 
 
 def _as_grid(name: str, value) -> np.ndarray:
@@ -106,23 +135,23 @@ def _as_grid(name: str, value) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MfdfaConfig:
-    """Settings of the analysis; every field's default is overridable.
+    """Settings of the MFDFA method; every field's default is overridable.
 
     ``scales=None`` resolves to ``default_scale_grid(len(profile))`` at
     analysis time, so one config can serve windows of different sizes.
     ``fit_range`` is a half-open index range into the scale grid.
     ``q_zero_epsilon`` is fixed: orders with |q| at or below it take the
-    logarithmic-average limit.  ``bidirectional`` is fixed too: segments
-    are always taken from both ends of the profile.
+    logarithmic-average limit.  So are ``bidirectional``, segments from both
+    ends of the profile, and ``width_method``, the quadratic width.
     """
 
     q_grid: np.ndarray | Sequence[float] | None = None
     scales: np.ndarray | Sequence[int] | None = None
     detrend_order: int = 1
     fit_range: tuple[int, int] | None = None
-    width_method: str = "quadratic"  # "quadratic" | "endpoints"
     q_zero_epsilon: ClassVar[float] = 1e-9
     bidirectional: ClassVar[bool] = True
+    width_method: ClassVar[str] = "quadratic"
 
     def __post_init__(self):
         q = default_q_grid() if self.q_grid is None else _as_grid("q_grid", self.q_grid)
@@ -137,41 +166,27 @@ class MfdfaConfig:
         object.__setattr__(self, "q_grid", q.astype(float))
 
         check_type("detrend_order", self.detrend_order, int)
-        if self.detrend_order < 1:
-            raise ConfigError(f"detrend_order must be >= 1, got {self.detrend_order}")
-        min_scale = DEFAULT_MIN_SCALE
-        if self.scales is not None:
+        if not 1 <= self.detrend_order <= _MAX_DETREND_ORDER:
+            raise ConfigError(f"detrend_order {self.detrend_order} not in 1..{_MAX_DETREND_ORDER}")
+        if self.scales is not None:  # a default grid starts at 16 >= _MAX_DETREND_ORDER + 2
             s = _as_grid("scales", self.scales)
             if (s.ndim != 1 or s.size == 0 or s.dtype.kind not in "iuf"
                     or not np.all(s == np.floor(s))):
                 raise ConfigError("scales must be a 1-D sequence of integers")
+            if not np.all((s >= 1) & (s <= _MAX_SCALE)):  # before the cast wraps them
+                raise ConfigError("scales must lie in 1 .. 2**53")
             s = s.astype(int)
             if np.any(np.diff(s) <= 0):
                 raise ConfigError("scales must be strictly increasing")
+            if s[0] < self.detrend_order + 2:
+                raise ConfigError(
+                    f"detrend_order {self.detrend_order} leaves no residual degree of "
+                    f"freedom at scale {s[0]} (need every scale >= m + 2)"
+                )
             object.__setattr__(self, "scales", s)
-            min_scale = s[0]
-        if min_scale < self.detrend_order + 2:
-            raise ConfigError(
-                f"detrend_order {self.detrend_order} leaves no residual degree of "
-                f"freedom at scale {min_scale} (need every scale >= m + 2)"
-            )
-        if self.fit_range is not None:
-            if not (isinstance(self.fit_range, (tuple, list)) and len(self.fit_range) == 2):
-                raise ConfigError(
-                    f"fit_range must be a (start, stop) pair, got {self.fit_range!r}"
-                )
-            for bound in self.fit_range:
-                check_type("fit_range", bound, int)
-            lo, hi = map(int, self.fit_range)
-            if not 0 <= lo <= hi - 4:
-                raise ConfigError(
-                    f"fit_range {self.fit_range!r} needs 0 <= start and >= 4 scales to regress"
-                )
-            object.__setattr__(self, "fit_range", (lo, hi))
-        if self.width_method not in ("quadratic", "endpoints"):
-            raise ConfigError(f"unknown width_method {self.width_method!r}")
-        if self.scales is not None:
-            self._check_fit(self.scales)
+        # no default grid has more than DEFAULT_SCALE_COUNT scales
+        fit = self.fit_indices(DEFAULT_SCALE_COUNT if self.scales is None else self.scales.size)
+        object.__setattr__(self, "fit_range", None if self.fit_range is None else fit)
 
     def scales_for(self, n: int) -> np.ndarray:
         """Concrete scale grid for a profile of length n.
@@ -179,26 +194,17 @@ class MfdfaConfig:
         Only the checks that need n live here; enforcing max(s) <= n // 4
         also guarantees the minimum signal length of 4 * min(s).
         """
-        if self.scales is None:
-            return self._check_fit(default_scale_grid(n))
-        if self.scales[-1] > n // 4:
+        if self.scales is not None and self.scales[-1] > n // 4:
             raise ConfigError(
                 f"scale {self.scales[-1]} exceeds N/4 = {n // 4} for a series of length {n}"
             )
-        return self.scales
-
-    def _check_fit(self, scales: np.ndarray) -> np.ndarray:
-        lo, hi = self.fit_indices(scales.size)
-        if hi > scales.size or hi - lo < 4:
-            raise InsufficientScalesError(
-                f"fit range ({lo}, {hi}) of a {scales.size}-scale grid holds fewer "
-                f"than the 4 scales a regression needs"
-            )
+        scales = default_scale_grid(n) if self.scales is None else self.scales
+        self.fit_indices(scales.size)
         return scales
 
     def fit_indices(self, n_scales: int) -> tuple[int, int]:
         """Half-open scale-index range of the regression on an n_scales grid."""
-        return (0, n_scales) if self.fit_range is None else self.fit_range
+        return _fit_span(self.fit_range, n_scales)
 
 
 @dataclass(frozen=True, eq=False)
@@ -483,13 +489,9 @@ def _scale_fluctuations(y: np.ndarray, s: int, config: MfdfaConfig) -> np.ndarra
 
 
 def fit_hurst(surface: FluctuationSurface, fit_range: tuple[int, int] | None = None) -> HurstCurve:
-    """Per-q OLS of ln F_q(s) on ln s; the slope is h(q)."""
-    n_scales = surface.scale_grid.size
-    lo, hi = (0, n_scales) if fit_range is None else fit_range
-    if not (0 <= lo < hi <= n_scales):
-        raise ConfigError(f"fit range ({lo}, {hi}) is outside the {n_scales}-scale grid")
-    if hi - lo < 4:
-        raise InsufficientScalesError(f"{hi - lo} scales in the fit range, need >= 4")
+    """Per-q OLS of ln F_q(s) on ln s over the scales of ``fit_range``
+    (``None``: all of them); the slope is h(q)."""
+    lo, hi = _fit_span(fit_range, surface.scale_grid.size)
     x = np.log(surface.scale_grid[lo:hi].astype(float))
     ymat = np.log(surface.values[:, lo:hi])
 
@@ -546,15 +548,13 @@ def legendre_spectrum(curve: HurstCurve) -> SingularitySpectrum:
 def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> WidthResult:
     """Multifractal width W of a singularity spectrum.
 
-    quadratic: least-squares fit of f = A u^2 + B u + 1 (u = alpha -
-    alpha_0, alpha_0 at the apex) over the points with f >= APEX_FLOOR;
-    W is the separation of the parabola's roots at f = 0.  (u^2, u) = QR
-    by Gram-Schmidt applied twice, as in ``_detrend_basis``, not by LAPACK
-    or the normal equations; fewer than two distinct nonzero u raise
-    InsufficientSpectrumError.  endpoints:
-    W = max(alpha) - min(alpha) over the q grid, an alternative width
-    chosen by ``MfdfaConfig.width_method`` (the pipeline flags windows
-    whose parabola is not concave rather than switching method).
+    quadratic, the width ``mfdfa`` takes: least-squares fit of f = A u^2 +
+    B u + 1 (u = alpha - alpha_0, alpha_0 at the apex) over the points with
+    f >= APEX_FLOOR; W is the separation of the parabola's roots at f = 0.
+    (u^2, u) = QR by Gram-Schmidt applied twice, as in ``_detrend_basis``,
+    not by LAPACK or the normal equations; fewer than two distinct nonzero
+    u raise InsufficientSpectrumError, a non-concave fit NonConcaveSpectrumError.
+    endpoints: W = max(alpha) - min(alpha), the pipeline's ``endpoint_width``.
     """
     alpha = spectrum.alpha
     f = spectrum.f_alpha
@@ -607,5 +607,5 @@ def mfdfa(signal, config: MfdfaConfig | None = None) -> MfdfaResult:
     surface = _staged("fluctuation", fluctuation_function, profile, config)
     hurst = _staged("scaling-fit", fit_hurst, surface, config.fit_range)
     spectrum = _staged("spectrum", legendre_spectrum, hurst)
-    width = _staged("width", spectrum_width, spectrum, config.width_method)
+    width = _staged("width", spectrum_width, spectrum)
     return MfdfaResult(profile, surface, hurst, spectrum, width)

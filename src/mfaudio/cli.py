@@ -78,12 +78,12 @@ def write_widths_csv(reports: list[RenditionReport], path: Path) -> None:
 def write_windows_csv(reports: list[RenditionReport], path: Path) -> None:
     header = ["song_id", "artist", "year", "generation", "part", "window",
               "n_samples", "width", "alpha0", "asymmetry", "h2", "r2_q2",
-              "flagged", "flag_reason"]
+              "flagged", "flag_reason", "endpoint_width"]
     _write_csv(path, header, (
         [r.record.song_id, r.record.artist, r.record.year, r.record.generation_index,
          part.part_index, w.window_index, w.n_samples,
          _f17(w.width), _f17(w.alpha0), _f17(w.asymmetry), _f17(w.h2), _f17(w.r2_q2),
-         "true" if w.flagged else "false", w.flag_reason or ""]
+         "true" if w.flagged else "false", w.flag_reason or "", _f17(w.endpoint_width)]
         for r in reports for part in r.parts for w in part.windows
     ))
 
@@ -167,7 +167,7 @@ def _cmd_run(args) -> int:
         cli_plan["window_length"] = args.window_seconds
 
     # these run flags share their names with the manifest's mfdfa settings
-    names = ("q_min", "q_max", "q_step", "scales", "detrend_order", "width_method")
+    names = ("q_min", "q_max", "q_step", "scales", "detrend_order")
     cli_mfdfa = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
 
     try:
@@ -286,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--q-step", type=float, default=None)
     run_p.add_argument("--scales", default=None, metavar="MIN:MAX:COUNT", help="log-spaced scale grid rule")
     run_p.add_argument("--detrend-order", type=int, default=None, metavar="M")
-    run_p.add_argument("--width-method", choices=["quadratic", "endpoints"], default=None)
     run_p.add_argument("--parts", type=int, default=None, metavar="K", help="parts per clip (part length becomes clip_length/K)")
     run_p.add_argument("--window-seconds", type=float, default=None, metavar="S")
     run_p.set_defaults(func=_cmd_run)

@@ -32,7 +32,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import MfdfaConfig, _distinct, check_spectrum_grid, default_q_grid
+from .analysis import _MAX_SCALE, MfdfaConfig, _log_scales, check_spectrum_grid, default_q_grid
 from .errors import ConfigError, ManifestError, MfaudioError, check_type
 from .pipeline import RenditionRecord, _slug
 from .signal_io import WindowPlan
@@ -63,11 +63,11 @@ def parse_scale_rule(text: str) -> np.ndarray:
         lo, hi, count = (int(part) for part in text.split(":"))
     except ValueError:
         raise ConfigError(f"scales rule {text!r} is not MIN:MAX:COUNT") from None
-    if not (0 < lo < hi <= 2**53 and count >= 2):  # float64 holds every integer to 2**53
+    if not (0 < lo < hi <= _MAX_SCALE and count >= 2):
         raise ConfigError(f"scales rule {text!r} needs 0 < MIN < MAX <= 2**53 and COUNT >= 2")
     if count > _MAX_GRID_VALUES:
         raise ConfigError(f"scales rule {text!r} asks for over {_MAX_GRID_VALUES} scales")
-    return _distinct(np.rint(np.geomspace(lo, hi, count)).astype(int))
+    return _log_scales(lo, hi, count)
 
 
 def build_q_grid(q_min: float, q_max: float, q_step: float) -> np.ndarray:

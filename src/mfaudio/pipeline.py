@@ -27,7 +27,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, mfdfa
+from .analysis import HurstCurve, MfdfaConfig, mfdfa, spectrum_width
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -95,17 +95,20 @@ class RenditionRecord:
 
 @dataclass(frozen=True)
 class WindowResult:
-    """Diagnostics of one analyzed window (indices are 1-based)."""
+    """Diagnostics of one analyzed window (indices are 1-based); a flagged
+    window leaves every diagnostic NaN.  ``endpoint_width`` is
+    max(alpha) - min(alpha), beside the quadratic ``width``."""
 
     window_index: int
     n_samples: int
-    width: float
-    alpha0: float
-    asymmetry: float
-    h2: float
-    r2_q2: float
+    width: float = math.nan
+    alpha0: float = math.nan
+    asymmetry: float = math.nan
+    h2: float = math.nan
+    r2_q2: float = math.nan
     flagged: bool = False
     flag_reason: str | None = None
+    endpoint_width: float = math.nan
 
 
 @dataclass(frozen=True)
@@ -317,17 +320,14 @@ def _analyze_window(
         samples = source[a:b] if isinstance(source, np.ndarray) else _decode_frames(source, a, b)
         res = mfdfa(samples, config)
     except _WINDOW_FLAG_ERRORS as err:
-        flagged = WindowResult(
-            w_idx, samples.size, math.nan, math.nan, math.nan,
-            math.nan, math.nan, flagged=True, flag_reason=str(err),
-        )
-        return flagged, None
+        return WindowResult(w_idx, samples.size, flagged=True, flag_reason=str(err)), None
     except MfaudioError as err:
         raise err.add_context(f"rendition {rendition_id} part {p_idx} window {w_idx}")
     h2, r2 = res.hurst.at(2.0)
     result = WindowResult(
         w_idx, samples.size, res.width.width, res.width.alpha0,
         res.width.asymmetry, h2, r2,
+        endpoint_width=spectrum_width(res.spectrum, "endpoints").width,
     )
     return result, res.hurst
 

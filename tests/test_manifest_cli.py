@@ -1,3 +1,4 @@
+import argparse
 import concurrent.futures
 import csv
 import ctypes
@@ -6,6 +7,7 @@ import math
 import multiprocessing
 import os
 import pickle
+import re
 import struct
 import subprocess
 import sys
@@ -25,7 +27,9 @@ from mfaudio import (
     WavFormatError,
     decode_wav,
     gen_cascade_noise,
+    mfdfa,
     partition_windows,
+    spectrum_width,
     validate_manifest,
     write_wav,
 )
@@ -175,12 +179,17 @@ def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
         (None, "detrend_order", None, ["--detrend-order", "20"]),
         ("mfdfa", "q_grid", [[1.0], [1.0, 2.0]], []),
         ("mfdfa", "scales", [[16], [16, 32]], []),
+        ("mfdfa", "scales", [16, 32, 64, 128, 1e300], []),
+        ("mfdfa", "scales", [16, 32, 64, 128, 2**63], []),
+        (None, "detrend_order", None, ["--detrend-order", "20000", "--scales", "20002:24000:4"]),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     # settings are not coerced: each of these used to run with a silently
     # converted value, or (--detrend-order 20) to fail every rendition;
-    # a ragged grid is reported under the setting's name
+    # a ragged grid is reported under the setting's name.  A scale past
+    # int64 wrapped in the cast and the run exited 3; order 20,000 passed,
+    # and a run would have built 6.4 GB of detrending basis at one scale
     path, doc = write_corpus(tmp_path, n_entries=1)
     if section is not None:
         doc["defaults"].setdefault(section, {})[key] = value
@@ -322,8 +331,10 @@ def test_manifest_rejects_unknown_settings(tmp_path):
     ((), "outptu_dir", "out", "manifest: unknown key(s): outptu_dir"),
     (("entries", 0), "mfdfa", [["q_min", -3.0]], "'entries[0].mfdfa' must be an object"),
     (("defaults",), "mfdfa", {"bidirectional": True}, "defaults.mfdfa: unknown key(s): bidirectional"),
+    (("defaults",), "mfdfa", {"width_method": "quadratic"},
+     "defaults.mfdfa: unknown key(s): width_method"),
 ], ids=["pairs", "string", "unknown-section", "unknown-setting", "unknown-top-key", "entry-pairs",
-        "retired-setting"])
+        "retired-setting", "retired-width-method"])
 def test_a_section_that_is_not_an_object_or_an_unknown_key_exits_2(
         tmp_path, capsys, where, key, value, violation):
     # these were coerced, ignored, or reported once per entry
@@ -1040,17 +1051,41 @@ def test_output_dir_falls_back_to_environment(tmp_path, monkeypatch):
     assert (env_out / "widths.csv").exists()
 
 
-def test_cli_width_method_flag(tmp_path):
+def test_the_retired_width_method_flag_exits_2(tmp_path, capsys):
+    # the endpoint width is a windows.csv column now, not a mode of the run
     path, _ = write_corpus(tmp_path, n_entries=1)
-    out_q = tmp_path / "quad"
-    out_e = tmp_path / "endp"
-    assert main(["run", "--manifest", str(path), "--out", str(out_q)]) == 0
-    assert main(
-        ["run", "--manifest", str(path), "--out", str(out_e), "--width-method", "endpoints"]
-    ) == 0
-    w_q = read_csv(out_q / "widths.csv")[1][5]
-    w_e = read_csv(out_e / "widths.csv")[1][5]
-    assert w_q != w_e
+    with pytest.raises(SystemExit) as exit_info:
+        main(["run", "--manifest", str(path), "--dry-run", "--width-method", "endpoints"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --width-method endpoints" in capsys.readouterr().err
+
+
+def test_windows_csv_ends_in_the_endpoint_width(tmp_path):
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    signal = decode_wav(tmp_path / "take0.wav")
+    samples = signal.samples.copy()
+    samples[:24_000] = 0.0  # the first 6 s window is digital silence
+    write_wav(tmp_path / "take0.wav", Signal(samples, signal.sample_rate), "float32")
+    out = tmp_path / "out"
+    assert main(["run", "--manifest", str(path), "--out", str(out)]) == 0
+    header, *rows = read_csv(out / "windows.csv")
+    assert header[-1] == "endpoint_width" and header[12:14] == ["flagged", "flag_reason"]
+    assert [row[12] for row in rows] == ["true", "false", "false", "false"]
+    assert rows[0][-1] == "nan"
+    written = decode_wav(tmp_path / "take0.wav").samples
+    for k, row in enumerate(rows[1:], start=1):  # 2 windows per part, back to back
+        spectrum = mfdfa(written[24_000 * k : 24_000 * (k + 1)]).spectrum
+        assert row[-1] == cli._f17(spectrum_width(spectrum, "endpoints").width)
+        assert float(row[-1]) > 0 and row[-1] != row[7]
+
+
+def test_readme_lists_exactly_the_run_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("`run` flags:"):]
+    listed = set(re.findall(r"--[a-z][a-z-]*", paragraph[: paragraph.index("\n\n")]))
+    [subcommands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {o for a in subcommands.choices["run"]._actions for o in a.option_strings}
+    assert listed == options - {"-h", "--help"}
 
 
 def test_synth_builds_runnable_corpus(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -43,6 +44,7 @@ from mfaudio import (
     tau_from_h,
 )
 from mfaudio.analysis import (
+    _MAX_DETREND_ORDER,
     _detrend_basis,
     _distinct,
     _scale_fluctuations,
@@ -185,7 +187,8 @@ def _pairwise_gram(a, b):
     return np.array([[np.sum(u * v) for v in b.T] for u in a.T])
 
 
-@pytest.mark.parametrize("order", [1, 2, 3, 8])
+# the highest order a config accepts has a tested basis
+@pytest.mark.parametrize("order", [1, 2, 3, _MAX_DETREND_ORDER])
 @pytest.mark.parametrize("size", ["m+2", 16, 1000, 33075])
 def test_detrend_basis_is_orthonormal_and_spans_the_polynomials(order, size, monkeypatch):
     s = order + 2 if size == "m+2" else size
@@ -743,8 +746,8 @@ def test_config_rejects_bad_grids():
         MfdfaConfig(scales=[4, 8], detrend_order=3)  # s < m + 2
     with pytest.raises(ConfigError):
         MfdfaConfig(detrend_order=0)
-    with pytest.raises(ConfigError):
-        MfdfaConfig(width_method="cubic")
+    with pytest.raises(TypeError):
+        MfdfaConfig(width_method="cubic")  # a fixed ClassVar, as bidirectional is
     with pytest.raises(ConfigError, match="q_grid"):
         MfdfaConfig(q_grid=[[1.0], [1.0, 2.0]])  # ragged
     with pytest.raises(ConfigError, match="scales"):
@@ -768,6 +771,20 @@ def test_config_rejects_explicit_grid_too_short_to_fit():
         MfdfaConfig(scales=[16, 32, 64, 128, 256], fit_range=(1, 6))
     with pytest.raises(ConfigError):
         MfdfaConfig(fit_range=(2, 5))  # 3 scales on any grid
+
+
+def test_a_fit_range_past_the_grid_names_the_grid_end():
+    # both used to say the range "holds fewer than the 4 scales" or is "outside" the grid
+    past = "fit range (0, 6) runs past the grid's end: stop <= 5"
+    with pytest.raises(InsufficientScalesError, match=re.escape(past)):
+        MfdfaConfig(scales=[16, 32, 64, 128, 256], fit_range=(0, 6))
+    scales = np.array([16, 32, 64, 128, 256])
+    surface = FluctuationSurface(np.array([2.0]), scales, scales[np.newaxis, :] ** 0.5, np.full(5, 4))
+    with pytest.raises(InsufficientScalesError, match=re.escape(past)):
+        fit_hurst(surface, (0, 6))
+    # no default grid has more than 20 scales
+    with pytest.raises(InsufficientScalesError, match="stop <= 20"):
+        MfdfaConfig(fit_range=(0, 10**30))
 
 
 def test_config_enforces_scale_bounds_per_signal():
