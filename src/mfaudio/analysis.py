@@ -8,7 +8,7 @@ Physica A 316 (2002) 87-114, with DFA detrending after Peng et al. (1994):
                  polynomial of degree m over segment v of size s, the
                  part left by a projection onto an orthonormal basis;
                  segments are taken from the start of the profile and
-                 from its end
+                 from its end, and detrended in row blocks of fixed size
 3. q-order mean  F_q(s) = { mean_v [F^2(s, v)]^(q/2) }^(1/q)
                  F_0(s) = exp{ 0.5 * mean_v ln F^2(s, v) }
                  taken over all scales on ln F^2, anchored at each
@@ -66,6 +66,9 @@ _SINE_FLOOR = math.sqrt(np.finfo(float).eps)
 # _q_moments exponentiates the segments in chunks of about this many terms,
 # one reused buffer of 1 MiB (inside a 2 MiB L2), not all rows at once.
 _Q_BLOCK_TERMS = 2**17
+# _segment_msq detrends rows in blocks of about this many samples: one block
+# for a 48,000-sample window at any scale (2**15 was 22% slower there).
+_DETREND_BLOCK_TERMS = 2**16
 # Bounds of the settings: float64 holds every integer scale to 2**53, and
 # the detrending basis is tested up to order 8 ((m + 1) s floats per scale).
 _MAX_SCALE = 2**53
@@ -128,9 +131,12 @@ def _fit_span(fit_range, n_scales: int) -> tuple[int, int]:
 
 def _as_grid(name: str, value) -> np.ndarray:
     try:
-        return np.asarray(value)
+        grid = np.asarray(value)
     except ValueError:  # a ragged sequence
         raise ConfigError(f"{name} must be a 1-D sequence, got {value!r}") from None
+    if grid.ndim == 1 and any(isinstance(v, (bool, np.bool_)) for v in value):  # True is not 1
+        raise ConfigError(f"{name} must hold numbers, not booleans, got {value!r}")
+    return grid
 
 
 @dataclass(frozen=True, eq=False)
@@ -282,21 +288,23 @@ class MfdfaResult:
     width: WidthResult
 
 
-def _as_samples(signal) -> np.ndarray:
-    if isinstance(signal, Signal):
-        return signal.samples
-    return np.asarray(signal, dtype=np.float64)
+def _copied_samples(signal) -> np.ndarray:
+    return np.array(signal.samples if isinstance(signal, Signal) else signal, dtype=np.float64)
 
 
 def compute_profile(signal) -> Profile:
-    """Integrate mean-subtracted samples into the analysis profile."""
-    x = _as_samples(signal)
+    """Integrate mean-subtracted samples into the analysis profile, over a copy of them."""
+    return _integrate(_copied_samples(signal))
+
+
+def _integrate(x: np.ndarray) -> Profile:
+    """The profile of float64 samples ``x``, built in ``x`` itself."""
     if x.size == 0:
         raise EmptySignalError("cannot profile an empty series")
     if not np.all(np.isfinite(x)):
         raise NonFiniteDataError("series contains NaN or infinity")
-    y = x - x.mean()
-    return Profile(np.cumsum(y, out=y))
+    x -= x.mean()
+    return Profile(np.cumsum(x, out=x))
 
 
 # Orthonormal bases stay cached per (s, order): a window's default grid
@@ -338,12 +346,21 @@ def _segment_msq(segments: np.ndarray, order: int) -> np.ndarray:
     in the fit's span, so the residual is unchanged, but the profile's
     offset no longer scales the rounding error.  The residual is formed
     explicitly, r = A - (A Q) Q^T, never as |A|^2 - |Q^T A|^2, which
-    cancels.
+    cancels.  Anchor, projection and norm run over a block of rows of
+    ``_DETREND_BLOCK_TERMS`` samples (or one row) at a time, so no copy
+    of ``segments`` is made.
     """
-    basis = _detrend_basis(segments.shape[1], order)
-    resid = segments - segments[:, :1]
-    resid -= (resid @ basis) @ basis.T
-    return np.einsum("ij,ij->i", resid, resid) / segments.shape[1]
+    n, s = segments.shape
+    basis = _detrend_basis(s, order)
+    rows = _DETREND_BLOCK_TERMS // s or 1
+    msq = np.empty(n)
+    for lo in range(0, n, rows):
+        block = segments[lo : lo + rows]
+        resid = block - block[:, :1]
+        resid -= (resid @ basis) @ basis.T
+        np.einsum("ij,ij->i", resid, resid, out=msq[lo : lo + rows])
+    msq /= s
+    return msq
 
 
 def segment_fluctuation(
@@ -383,6 +400,33 @@ def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndar
     return _q_moments(np.log(msq), np.zeros(1, dtype=int), q, q_zero_epsilon)[:, 0]
 
 
+@functools.lru_cache(maxsize=8)
+def _q_lattice(q_bytes: bytes, q_zero_epsilon: float) -> tuple[tuple, ...]:
+    """The factored terms of ``_q_moments`` for the grid ``q_bytes``, per
+    sign with orders: (extreme, bases, rows, factors, block_of, offset_of,
+    q_rows).  Built once per grid; read-only because it is shared."""
+    q = np.frombuffer(q_bytes)
+    lattice = []
+    for sign, extreme in ((q > q_zero_epsilon, np.maximum), (q < -q_zero_epsilon, np.minimum)):
+        rows = np.flatnonzero(sign)
+        if rows.size == 0:
+            continue
+        rows = rows[np.argsort(np.abs(q[rows]))]
+        block = math.ceil(math.sqrt(rows.size))
+        block_of = np.arange(rows.size) // block
+        bases = q[rows[::block]]
+        offsets = q[rows] - bases[block_of]
+        order = np.argsort(offsets)
+        apart = np.diff(offsets[order]) > 4 * np.spacing(np.abs(q[rows[-1]]))
+        offset_of = np.cumsum(np.append(0, apart))[np.argsort(order)]
+        factors = 0.5 * np.concatenate((bases, offsets[order][np.append(True, apart)]))
+        arrays = rows, factors, block_of, offset_of, q[rows, np.newaxis]
+        for a in arrays:
+            a.flags.writeable = False
+        lattice.append((extreme, bases.size, *arrays))
+    return tuple(lattice)
+
+
 def _q_moments(logs: np.ndarray, starts: np.ndarray, q: np.ndarray,
                q_zero_epsilon: float) -> np.ndarray:
     """F_q of every scale, shape (q.size, starts.size), from ln F^2.
@@ -399,72 +443,73 @@ def _q_moments(logs: np.ndarray, starts: np.ndarray, q: np.ndarray,
     each block's first q is the base b of its orders, and o = q - b is
     the offset.  Offsets within 4 ulp of the largest |q| share one row,
     so a uniform grid exponentiates about 2 sqrt(K) rows, and each
-    scale's base x offset sums are one matrix product.
+    scale's base x offset sums are one matrix product.  Chunks of segments
+    share one buffer, sized to the call and at most ``_Q_BLOCK_TERMS``.
     """
     ends = np.append(starts[1:], logs.size)
     counts = ends - starts
     out = np.empty((q.size, starts.size))
     near_zero = np.abs(q) <= q_zero_epsilon
     out[near_zero] = np.exp(0.5 * np.add.reduceat(logs, starts) / counts)
-    terms = np.empty(max(_Q_BLOCK_TERMS, q.size + 1))
-    for sign, extreme in ((q > q_zero_epsilon, np.maximum), (q < -q_zero_epsilon, np.minimum)):
-        rows = np.flatnonzero(sign)
-        if rows.size == 0:
-            continue
-        rows = rows[np.argsort(np.abs(q[rows]))]
-        block = math.ceil(math.sqrt(rows.size))
-        block_of = np.arange(rows.size) // block
-        bases = q[rows[::block]]
-        offsets = q[rows] - bases[block_of]
-        order = np.argsort(offsets)
-        apart = np.diff(offsets[order]) > 4 * np.spacing(np.abs(q[rows[-1]]))
-        offset_of = np.cumsum(np.append(0, apart))[np.argsort(order)]
-        factors = 0.5 * np.concatenate((bases, offsets[order][np.append(True, apart)]))
+    lattice = _q_lattice(q.tobytes(), q_zero_epsilon)
+    most = max((sign[3].size for sign in lattice), default=0)
+    terms = np.empty(min(most * logs.size, max(_Q_BLOCK_TERMS, most)))
+    for extreme, bases, rows, factors, block_of, offset_of, q_rows in lattice:
         anchor = extreme.reduceat(logs, starts)
-        shifted = logs - np.repeat(anchor, counts)
-        sums = np.zeros((starts.size, bases.size, factors.size - bases.size))
+        sums = np.zeros((starts.size, bases, factors.size - bases))
         width = max(1, _Q_BLOCK_TERMS // factors.size)
-        for lo in range(0, logs.size, width):  # segments [lo, hi) of every scale
+        for lo in range(0, logs.size, width):  # segments [lo, hi) of scales [first, stop)
             hi = min(lo + width, logs.size)
+            first, stop = np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)
+            held = np.minimum(ends[first:stop], hi) - np.maximum(starts[first:stop], lo)
             exps = terms[: factors.size * (hi - lo)].reshape(factors.size, hi - lo)
-            np.multiply.outer(factors, shifted[lo:hi], out=exps)
+            shifted = np.repeat(anchor[first:stop], held)
+            np.subtract(logs[lo:hi], shifted, out=shifted)
+            np.multiply.outer(factors, shifted, out=exps)
             np.exp(exps, out=exps)
-            for j in range(np.searchsorted(ends, lo, side="right"), np.searchsorted(starts, hi)):
+            for j in range(first, stop):
                 v = slice(max(starts[j], lo) - lo, min(ends[j], hi) - lo)
-                sums[j] += exps[: bases.size, v] @ exps[bases.size :, v].T
+                sums[j] += exps[:bases, v] @ exps[bases:, v].T
         means = sums[:, block_of, offset_of].T / counts
-        out[rows] = np.exp(0.5 * anchor + np.log(means) / q[rows, np.newaxis])
+        out[rows] = np.exp(0.5 * anchor + np.log(means) / q_rows)
     return out
 
 
 def _silence_floor(profile: Profile) -> float:
-    """Largest F^2 that is digital silence: (SILENCE_ULPS eps sqrt(N) max|Y|)^2.
+    """Largest RMS residual of digital silence, SILENCE_ULPS eps sqrt(N) max|Y|.
 
     Summing N samples into the profile leaves a rounding error of order
     eps sqrt(N) max|Y|, so a segment whose RMS residual is no more than
     ``SILENCE_ULPS`` times that cannot be told from a run of zeros.  An
-    all-zero profile has a floor of 0, which F^2 = 0 meets.
+    all-zero profile has a floor of 0, which F^2 = 0 meets.  Below max|Y|,
+    the floor cannot overflow where its square would.
     """
     y = profile.values
-    return (SILENCE_ULPS * np.finfo(float).eps * math.sqrt(y.size) * float(np.abs(y).max())) ** 2
+    return SILENCE_ULPS * np.finfo(float).eps * math.sqrt(y.size) * max(y.max(), -y.min())
 
 
 def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) -> FluctuationSurface:
     """q-order fluctuation F_q(s) over the configured scale grid.
 
-    Raises DegenerateSegmentError, naming the first offending (s, v) in
-    scale-then-segment order, if any segment is digital silence: its F^2
-    is at or below ``_silence_floor(profile)``, the size of the profile's
-    own rounding.  Negative-q moments diverge on such segments.
+    Raises NonFiniteDataError if an F^2 overflows, else
+    DegenerateSegmentError, naming the first offending (s, v) in
+    scale-then-segment order, if any segment is digital silence: its RMS
+    residual is at or below ``_silence_floor(profile)``, the size of the
+    profile's own rounding.  Negative-q moments diverge on such segments.
+    The bases are fetched first, to sit below the temporaries in the heap,
+    and the profile is never written.
     """
     config = config if config is not None else MfdfaConfig()
     y = profile.values
     scales = config.scales_for(y.size)
-    msq = [_scale_fluctuations(y, int(s), config) for s in scales]
-    counts = np.array([m.size for m in msq])
+    for s in scales:
+        _detrend_basis(int(s), config.detrend_order)
+    counts = 2 * (y.size // scales)
     starts = np.cumsum(counts) - counts
-    msq = np.concatenate(msq)
-    silent = msq <= _silence_floor(profile)
+    msq = np.concatenate([_scale_fluctuations(y, int(s), config) for s in scales])
+    if not math.isfinite(msq.max()):
+        raise NonFiniteDataError("fluctuation function overflowed; rescale the input")
+    silent = np.sqrt(msq) <= _silence_floor(profile)
     if silent.any():
         i = int(silent.argmax())
         j = int(np.searchsorted(starts, i, side="right")) - 1
@@ -472,9 +517,7 @@ def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) ->
         if v < n_seg:
             raise DegenerateSegmentError(s, v + 1, "forward")
         raise DegenerateSegmentError(s, v - n_seg + 1, "backward")
-    values = _q_moments(np.log(msq), starts, config.q_grid, config.q_zero_epsilon)
-    if not np.all(np.isfinite(values)):
-        raise NonFiniteDataError("fluctuation function overflowed; rescale the input")
+    values = _q_moments(np.log(msq, out=msq), starts, config.q_grid, config.q_zero_epsilon)
     return FluctuationSurface(config.q_grid, scales, values, counts)
 
 
@@ -600,10 +643,15 @@ def mfdfa(signal, config: MfdfaConfig | None = None) -> MfdfaResult:
     """Full analysis: profile, fluctuation surface, h(q), spectrum, width.
 
     Deterministic for fixed inputs; component errors propagate with the
-    failing stage named in the message.
+    failing stage named in the message.  The samples are never written.
     """
+    return _mfdfa_in_place(_copied_samples(signal), config)
+
+
+def _mfdfa_in_place(samples: np.ndarray, config: MfdfaConfig | None = None) -> MfdfaResult:
+    """``mfdfa`` of float64 samples whose array becomes the profile."""
     config = config if config is not None else MfdfaConfig()
-    profile = _staged("profile", compute_profile, signal)
+    profile = _staged("profile", _integrate, samples)
     surface = _staged("fluctuation", fluctuation_function, profile, config)
     hurst = _staged("scaling-fit", fit_hurst, surface, config.fit_range)
     spectrum = _staged("spectrum", legendre_spectrum, hurst)

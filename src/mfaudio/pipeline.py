@@ -7,8 +7,10 @@ header alone.  Each window is one task of ``_analyze_window``, a pure
 function of the window and its config, mapped by builtin ``map`` or by
 ``pool.map`` over forked worker processes (imported only for a pool),
 which sends the tasks in batches.  A task travels as its span; the
-process that runs it decodes the window's frames from the file, and a
-window's error is raised there with the window named.  The results are
+process that runs it decodes the window's frames from the file into the
+array that becomes the window's profile, the one array of the window's
+length it holds, and a window's error is raised there with the window
+named.  The results are
 reduced in window order after the map, which keeps every mean
 bit-identical for any pool size.  Windows whose analysis degenerates
 (digital silence, a non-concave spectrum) are flagged with the reason and
@@ -27,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .analysis import HurstCurve, MfdfaConfig, mfdfa, spectrum_width
+from .analysis import HurstCurve, MfdfaConfig, _mfdfa_in_place, spectrum_width
 from .errors import (
     ConfigError,
     DegenerateSegmentError,
@@ -311,14 +313,15 @@ def _analyze_window(
 
     ``task`` is (source, (start, stop), config, (rendition id, part,
     window)).  The window's samples are decoded from the WAV that
-    ``source`` lays out, or sliced from ``source`` itself, an array of
-    the rendition's samples.  An error other than a window flag is
-    raised with the rendition, part and window named.
+    ``source`` lays out, or copied from ``source`` itself, an array of
+    the rendition's samples, and becomes the window's profile: the window
+    holds that, the cached bases and blocks of fixed size.  An error other
+    than a window flag is raised with the rendition, part and window named.
     """
     source, (a, b), config, (rendition_id, p_idx, w_idx) = task
     try:
-        samples = source[a:b] if isinstance(source, np.ndarray) else _decode_frames(source, a, b)
-        res = mfdfa(samples, config)
+        samples = source[a:b].copy() if isinstance(source, np.ndarray) else _decode_frames(source, a, b)
+        res = _mfdfa_in_place(samples, config)
     except _WINDOW_FLAG_ERRORS as err:
         return WindowResult(w_idx, samples.size, flagged=True, flag_reason=str(err)), None
     except MfaudioError as err:

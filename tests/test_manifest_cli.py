@@ -182,12 +182,15 @@ def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
         ("mfdfa", "scales", [16, 32, 64, 128, 1e300], []),
         ("mfdfa", "scales", [16, 32, 64, 128, 2**63], []),
         (None, "detrend_order", None, ["--detrend-order", "20000", "--scales", "20002:24000:4"]),
+        ("mfdfa", "q_grid", [-2.0, -1.0, True, 2.0, 3.0], []),
+        ("mfdfa", "q_grid", [-1.0, False, 2.0], []),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     # settings are not coerced: each of these used to run with a silently
     # converted value, or (--detrend-order 20) to fail every rendition;
-    # a ragged grid is reported under the setting's name.  A scale past
+    # a ragged grid is reported under the setting's name, and so is a grid
+    # holding a boolean, which ran as q = 1 or 0.  A scale past
     # int64 wrapped in the cast and the run exited 3; order 20,000 passed,
     # and a run would have built 6.4 GB of detrending basis at one scale
     path, doc = write_corpus(tmp_path, n_entries=1)
@@ -582,7 +585,7 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
     assert 72 * 4000 > pipeline._CHUNK_SAMPLES
     barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
     waited = []  # each forked worker has its own copy
-    real_mfdfa = pipeline.mfdfa
+    real_mfdfa = pipeline._mfdfa_in_place
 
     def meeting_mfdfa(window, config):
         if not waited:
@@ -590,7 +593,7 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
             barrier.wait()
         return real_mfdfa(window, config)
 
-    monkeypatch.setattr(pipeline, "mfdfa", meeting_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", meeting_mfdfa)
     path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
     out = tmp_path / "out"
     code = main(["run", "--manifest", str(path), "--out", str(out), "--parts", "1",
@@ -634,14 +637,14 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
     path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
     record = validate_manifest(path, {"part_count": 3, "part_length": None}).records[0]
     target = partition_windows(decode_wav(record.audio_path), record.plan)[1][3]
-    real_mfdfa = pipeline.mfdfa
+    real_mfdfa = pipeline._mfdfa_in_place
 
     def failing_mfdfa(window, config):
         if np.array_equal(window, target.samples):
             raise NonFiniteDataError("injected")
         return real_mfdfa(window, config)
 
-    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", failing_mfdfa)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--parts", "3", "--jobs", "2"])
     assert code == 1
@@ -660,7 +663,7 @@ def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, ca
     capsys.readouterr()
     record = validate_manifest(path).records[0]
     target = partition_windows(decode_wav(record.audio_path), record.plan)[0][0]
-    real_mfdfa = pipeline.mfdfa
+    real_mfdfa = pipeline._mfdfa_in_place
 
     def failing_mfdfa(window, config):
         if np.array_equal(window, target.samples):
@@ -668,7 +671,7 @@ def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, ca
         return real_mfdfa(window, config)
 
     monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
-    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", failing_mfdfa)
     out = tmp_path / "out"
     assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", "2"]) == 1
     assert capsys.readouterr().err == (
@@ -827,7 +830,7 @@ def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch)
         raise RuntimeError("boom")
 
     monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
-    monkeypatch.setattr(pipeline, "mfdfa", slow_broken_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", slow_broken_mfdfa)
     path, _ = write_corpus(tmp_path, n_entries=5)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
     assert code == 3
@@ -840,7 +843,7 @@ def test_dead_worker_exits_3_with_one_line(tmp_path, capfd, monkeypatch):
     def dying_mfdfa(window, config):
         os._exit(1)
 
-    monkeypatch.setattr(pipeline, "mfdfa", dying_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", dying_mfdfa)
     path, _ = write_corpus(tmp_path, n_entries=2)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
     assert code == 3
@@ -854,7 +857,7 @@ def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     def broken_mfdfa(window, config):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(pipeline, "mfdfa", broken_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", broken_mfdfa)
     path, _ = write_corpus(tmp_path, n_entries=2)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
     assert code == 3

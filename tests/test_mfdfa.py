@@ -24,6 +24,7 @@ from mfaudio import (
     InsufficientSpectrumError,
     MfdfaConfig,
     NonConcaveSpectrumError,
+    NonFiniteDataError,
     Signal,
     SingularitySpectrum,
     FgnSpec,
@@ -47,6 +48,7 @@ from mfaudio.analysis import (
     _MAX_DETREND_ORDER,
     _detrend_basis,
     _distinct,
+    _q_lattice,
     _scale_fluctuations,
     _segment_msq,
 )
@@ -668,6 +670,43 @@ def test_mfdfa_error_names_failing_stage():
     with pytest.raises(DegenerateSegmentError) as err:
         mfdfa(Signal(np.zeros(1024), 100.0))
     assert "stage fluctuation" in str(err.value)
+
+
+def test_an_overflowing_fluctuation_is_an_error_not_silence():
+    # at 1e300 every F^2 overflows to inf; the silence floor's square used
+    # to overflow too, with a RuntimeWarning, and the window was flagged
+    # as digital silence at s=16, v=1
+    x = gen_white_noise(8000, 0).samples
+    with pytest.raises(NonFiniteDataError) as err:
+        mfdfa(x * 1e300)
+    assert str(err.value) == "stage fluctuation: fluctuation function overflowed; rescale the input"
+    assert mfdfa(x * 1e150).width.width == pytest.approx(mfdfa(x).width.width, rel=1e-12)
+
+
+def test_analysis_never_writes_the_callers_array():
+    x = gen_cascade_noise(8192, 0.7, 3).samples
+    before = x.tobytes()
+    profile = compute_profile(x)
+    assert x.tobytes() == before and not np.shares_memory(profile.values, x)
+    values = profile.values.tobytes()
+    fluctuation_function(profile)
+    assert profile.values.tobytes() == values
+    mfdfa(x)
+    mfdfa(Signal(x, 8000.0))
+    assert x.tobytes() == before
+
+
+def test_q_lattice_is_built_once_per_grid_and_read_only():
+    config = MfdfaConfig(q_grid=build_q_grid(-5.0, 5.0, 0.05))
+    profile = compute_profile(gen_cascade_noise(8000, 0.7, 3))
+    _q_lattice.cache_clear()
+    first = fluctuation_function(profile, config).values
+    assert np.array_equal(fluctuation_function(profile, config).values, first)
+    info = _q_lattice.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    for sign in _q_lattice(config.q_grid.tobytes(), config.q_zero_epsilon):
+        arrays = [a for a in sign if isinstance(a, np.ndarray)]
+        assert len(arrays) == 5 and not any(a.flags.writeable for a in arrays)
 
 
 def test_surface_monotone_in_q_on_noise():

@@ -133,14 +133,14 @@ def test_window_error_names_rendition_part_and_window(tmp_path, monkeypatch):
         plan=WindowPlan(clip_length=36.0, part_count=2, part_length=18.0, window_length=6.0),
     )
     target = partition_windows(decode_wav(record.audio_path), record.plan)[1][2]
-    real_mfdfa = pipeline.mfdfa
+    real_mfdfa = pipeline._mfdfa_in_place
 
     def failing_mfdfa(window, config):
         if np.array_equal(window, target.samples):
             raise NonFiniteDataError("injected")
         return real_mfdfa(window, config)
 
-    monkeypatch.setattr(pipeline, "mfdfa", failing_mfdfa)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", failing_mfdfa)
     with pytest.raises(NonFiniteDataError) as err:
         analyze_rendition(record)
     assert str(err.value) == "rendition song-a-artist-a-1950 part 2 window 3: injected"
@@ -214,6 +214,36 @@ def test_chunk_holds_one_window_at_a_time(tmp_path):
             tracemalloc.stop()
         assert len(outcomes) == len(batch)
     assert peaks[1] - peaks[0] < 8 * window, f"{peaks[0]} -> {peaks[1]} bytes"
+
+
+def test_a_paper_window_holds_one_array_of_its_length(tmp_path):
+    # a 6 s window at 22.05 kHz: the decoded samples become the profile,
+    # and detrending and q-moments work in blocks of fixed size.  With the
+    # samples, the profile and whole-window residuals alive at once the
+    # window peaked at 4.9 times its float64 bytes
+    n = 132_300
+    record = make_record(
+        tmp_path, gen_fgn_prefix(0.55, 2 * n, 4, 22050.0),
+        plan=WindowPlan(clip_length=12.0, part_count=1, part_length=12.0, window_length=6.0),
+    )
+    tasks = pipeline._plan_rendition(record)
+    pipeline._analyze_window(tasks[0])  # caches the bases
+    tracemalloc.start()
+    try:
+        result, _ = pipeline._analyze_window(tasks[1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_samples == n and not result.flagged
+    assert peak < 3 * n * 8, f"{peak / (n * 8):.2f} windows"
+
+
+def test_analyze_rendition_never_writes_the_signal(tmp_path):
+    record = make_record(tmp_path, gen_cascade_noise(24 * 4000, 0.7, 6, 4000.0))
+    signal = decode_wav(record.audio_path)
+    before = signal.samples.tobytes()
+    analyze_rendition(record, signal=signal)
+    assert signal.samples.tobytes() == before
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux") or not hasattr(ctypes.CDLL(None), "mallopt"),
