@@ -289,7 +289,10 @@ class MfdfaResult:
 
 
 def _copied_samples(signal) -> np.ndarray:
-    return np.array(signal.samples if isinstance(signal, Signal) else signal, dtype=np.float64)
+    x = np.array(signal.samples if isinstance(signal, Signal) else signal, dtype=np.float64)
+    if x.ndim != 1:
+        raise ConfigError(f"samples must be 1-D, got shape {x.shape}")
+    return x
 
 
 def compute_profile(signal) -> Profile:
@@ -322,8 +325,11 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
     (Giraud et al. 2005).  Every dot product is an einsum over contiguous
     rows, never a BLAS or LAPACK call: a LAPACK QR loads library pages
     that outweigh the bases, and OpenBLAS hands long 1-D dots to a helper
-    thread.  Read-only because it is shared.
+    thread.  Read-only because it is shared.  The basis is allocated
+    before its temporaries, so the cached bases of a grid pack together
+    in the heap instead of each sitting above the hole its build leaves.
     """
+    basis = np.empty((s, order + 1))
     x = np.arange(1 - s, s, 2, dtype=float)  # 2 i - (s - 1), scaled in place
     x /= s - 1
     rows, scratch = np.empty((order + 1, s)), np.empty(s)
@@ -334,13 +340,21 @@ def _detrend_basis(s: int, order: int) -> np.ndarray:
             for c, q in zip(coefs, rows[:k]):
                 v -= np.multiply(c, q, out=scratch)
         v /= math.sqrt(np.einsum("i,i", v, v))
-    basis = np.ascontiguousarray(rows.T)
+    basis[:] = rows.T
     basis.flags.writeable = False
     return basis
 
 
-def _segment_msq(segments: np.ndarray, order: int) -> np.ndarray:
-    """Mean squared residual of a degree-``order`` LS fit, per row.
+def _segments(y: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """The forward and the backward segments of scale s, (n_seg, s) views
+    of ``y``: forward v = 1..n_seg from the start of the profile, backward
+    v = 1..n_seg from its end, so trailing samples are always covered."""
+    n_seg = y.size // s
+    return y[: n_seg * s].reshape(n_seg, s), y[y.size - n_seg * s :].reshape(n_seg, s)[::-1]
+
+
+def _segment_msq(segments: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+    """Mean squared residual of a degree-``order`` LS fit per row, into ``out``.
 
     Each row is first anchored at its own first value.  A constant lies
     in the fit's span, so the residual is unchanged, but the profile's
@@ -353,14 +367,13 @@ def _segment_msq(segments: np.ndarray, order: int) -> np.ndarray:
     n, s = segments.shape
     basis = _detrend_basis(s, order)
     rows = _DETREND_BLOCK_TERMS // s or 1
-    msq = np.empty(n)
     for lo in range(0, n, rows):
         block = segments[lo : lo + rows]
         resid = block - block[:, :1]
         resid -= (resid @ basis) @ basis.T
-        np.einsum("ij,ij->i", resid, resid, out=msq[lo : lo + rows])
-    msq /= s
-    return msq
+        np.einsum("ij,ij->i", resid, resid, out=out[lo : lo + rows])
+    out /= s
+    return out
 
 
 def segment_fluctuation(
@@ -371,19 +384,14 @@ def segment_fluctuation(
     Segments are 1-based; ``forward`` counts them from the start of the
     profile, ``backward`` from the end.
     """
-    y = profile.values
-    n_seg = y.size // s
     if s < order + 2:
         raise ConfigError(f"scale {s} too small for order-{order} detrending")
-    if not 1 <= v <= n_seg:
-        raise ConfigError(f"segment v={v} outside 1..{n_seg} at scale s={s}")
-    if direction == "forward":
-        block = y[(v - 1) * s : v * s]
-    elif direction == "backward":
-        block = y[y.size - v * s : y.size - (v - 1) * s]
-    else:
+    if direction not in ("forward", "backward"):
         raise ConfigError(f"unknown direction {direction!r}")
-    return float(_segment_msq(block[np.newaxis, :], order)[0])
+    segments = _segments(profile.values, s)[direction == "backward"]
+    if not 1 <= v <= len(segments):
+        raise ConfigError(f"segment v={v} outside 1..{len(segments)} at scale s={s}")
+    return float(_segment_msq(segments[v - 1 : v], order, np.empty(1))[0])
 
 
 def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndarray:
@@ -394,9 +402,13 @@ def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndar
     ``fluctuation_function`` runs on every scale at once.
     """
     msq = np.atleast_1d(np.asarray(fluctuations, dtype=float))
+    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
+    if msq.size == 0 or msq.ndim > 1 or q.ndim > 1 or not np.all(np.isfinite(q)):
+        raise ConfigError("q-order means need a 1-D list of fluctuations and finite 1-D q")
+    if not np.all(np.isfinite(msq)):
+        raise NonFiniteDataError("fluctuations contain NaN or infinity")
     if np.any(msq <= 0):
         raise ConfigError("q-order means need strictly positive fluctuations")
-    q = np.atleast_1d(np.asarray(q_grid, dtype=float))
     return _q_moments(np.log(msq), np.zeros(1, dtype=int), q, q_zero_epsilon)[:, 0]
 
 
@@ -491,13 +503,15 @@ def _silence_floor(profile: Profile) -> float:
 def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) -> FluctuationSurface:
     """q-order fluctuation F_q(s) over the configured scale grid.
 
-    Raises NonFiniteDataError if an F^2 overflows, else
-    DegenerateSegmentError, naming the first offending (s, v) in
-    scale-then-segment order, if any segment is digital silence: its RMS
-    residual is at or below ``_silence_floor(profile)``, the size of the
-    profile's own rounding.  Negative-q moments diverge on such segments.
-    The bases are fetched first, to sit below the temporaries in the heap,
-    and the profile is never written.
+    ``_segment_msq`` writes every F^2(s, v) into one array, scale j from
+    ``starts[j]``, forward then backward segments as ``_segments`` lays
+    them out.  Raises NonFiniteDataError if an F^2 overflows, else
+    DegenerateSegmentError, naming the first offending (s, v) in that
+    order, if any segment is digital silence: its RMS residual is at or
+    below ``_silence_floor(profile)``, the size of the profile's own
+    rounding.  Negative-q moments diverge on such segments.  The bases are
+    fetched first, to sit below the temporaries in the heap, and the
+    profile is never written.
     """
     config = config if config is not None else MfdfaConfig()
     y = profile.values
@@ -506,29 +520,20 @@ def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) ->
         _detrend_basis(int(s), config.detrend_order)
     counts = 2 * (y.size // scales)
     starts = np.cumsum(counts) - counts
-    msq = np.concatenate([_scale_fluctuations(y, int(s), config) for s in scales])
+    msq = np.empty(counts.sum())
+    for s, start, count in zip(scales, starts, counts):
+        for segments, out in zip(_segments(y, int(s)), msq[start : start + count].reshape(2, -1)):
+            _segment_msq(segments, config.detrend_order, out)
     if not math.isfinite(msq.max()):
         raise NonFiniteDataError("fluctuation function overflowed; rescale the input")
     silent = np.sqrt(msq) <= _silence_floor(profile)
     if silent.any():
         i = int(silent.argmax())
         j = int(np.searchsorted(starts, i, side="right")) - 1
-        s, v, n_seg = int(scales[j]), i - int(starts[j]), y.size // int(scales[j])
-        if v < n_seg:
-            raise DegenerateSegmentError(s, v + 1, "forward")
-        raise DegenerateSegmentError(s, v - n_seg + 1, "backward")
+        backward, v = divmod(i - int(starts[j]), int(counts[j]) // 2)
+        raise DegenerateSegmentError(int(scales[j]), v + 1, ("forward", "backward")[backward])
     values = _q_moments(np.log(msq, out=msq), starts, config.q_grid, config.q_zero_epsilon)
     return FluctuationSurface(config.q_grid, scales, values, counts)
-
-
-def _scale_fluctuations(y: np.ndarray, s: int, config: MfdfaConfig) -> np.ndarray:
-    n_seg = y.size // s
-    fwd = y[: n_seg * s].reshape(n_seg, s)
-    # backward segments count from the end of the profile; order them
-    # v = 1..n_seg from the end so trailing samples are always covered
-    bwd = y[y.size - n_seg * s :].reshape(n_seg, s)[::-1]
-    return np.concatenate([_segment_msq(fwd, config.detrend_order),
-                           _segment_msq(bwd, config.detrend_order)])
 
 
 def fit_hurst(surface: FluctuationSurface, fit_range: tuple[int, int] | None = None) -> HurstCurve:

@@ -15,7 +15,7 @@ setting keeps its JSON type and the dataclass checks it; nothing is
 coerced.  ``mfdfa`` accepts either an explicit ``q_grid`` list or the
 (q_min, q_max, q_step) triple, never both once the layers are merged,
 and either an explicit ``scales`` integer list or a "MIN:MAX:COUNT"
-log-spacing rule.  A ``part_length`` of null derives
+log-spacing rule.  A ``part_length`` of null makes WindowPlan derive
 ``clip_length / part_count``.  Entries must not share an output file
 name: spectrum_<rendition_id>.csv and, across songs, plot_<song>.csv.
 
@@ -25,7 +25,6 @@ reports every violation, not just the first.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -106,23 +105,6 @@ def config_from_settings(settings: dict) -> MfdfaConfig:
     if isinstance(kwargs.get("scales"), str):
         kwargs["scales"] = parse_scale_rule(kwargs["scales"])
     return MfdfaConfig(**kwargs)
-
-
-def plan_from_settings(settings: dict) -> WindowPlan:
-    """Build a WindowPlan from merged settings.
-
-    ``part_length: null`` derives clip_length / part_count, so "--parts 4"
-    turns a 180 s clip into 4 x 45 s parts; an absent term is WindowPlan's
-    own default.
-    """
-    kwargs = dict(settings)
-    if "part_length" in kwargs and kwargs["part_length"] is None:
-        clip_length = kwargs.get("clip_length", WindowPlan.clip_length)
-        part_count = kwargs.get("part_count", WindowPlan.part_count)
-        # a bad term leaves part_length None, and WindowPlan names the term
-        with contextlib.suppress(TypeError, ZeroDivisionError):
-            kwargs["part_length"] = clip_length / part_count
-    return WindowPlan(**kwargs)
 
 
 def _object(value, path: str, known: set[str], violations: list[str]) -> dict:
@@ -224,7 +206,7 @@ def validate_manifest(
         entry_plan, entry_mfdfa = (_object(entry.get(key, {}), f"{label}.{key}", known, violations)
                                    for key, known in _SECTIONS.items())
         try:
-            plan = plan_from_settings(_merge(default_plan, cli_plan, entry_plan))
+            plan = WindowPlan(**_merge(default_plan, cli_plan, entry_plan))
             config = config_from_settings(_merge(default_mfdfa, cli_mfdfa, entry_mfdfa))
             check_spectrum_grid(config.q_grid)
             record = RenditionRecord(

@@ -67,8 +67,8 @@ class Signal:
             raise EmptySignalError("signal holds zero samples")
         if not np.all(np.isfinite(samples)):
             raise NonFiniteDataError("signal samples contain NaN or infinity")
-        if not self.sample_rate > 0:
-            raise ConfigError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ConfigError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         object.__setattr__(self, "samples", samples)
 
     def __len__(self) -> int:
@@ -88,23 +88,26 @@ class WindowPlan:
     into ``part_count`` consecutive parts of ``part_length`` seconds;
     each part is cut into non-overlapping windows of ``window_length``
     seconds.  Remainder samples at part or window boundaries are dropped,
-    never zero-padded.
+    never zero-padded.  ``part_length=None`` derives clip_length /
+    part_count, so 4 parts of a 180 s clip last 45 s.  Every setting is
+    checked in field order and is at most 2**53: no second is infinite,
+    and no part count overflows a product of seconds.
     """
 
     clip_start: float = 0.0
     clip_length: float = 180.0
     part_count: int = 6
-    part_length: float = 30.0
+    part_length: float | None = 30.0
     window_length: float = 6.0
 
     def __post_init__(self):
         for name in ("clip_start", "clip_length", "part_count", "part_length", "window_length"):
-            value = getattr(self, name)
+            if name == "part_length" and self.part_length is None:
+                object.__setattr__(self, name, self.clip_length / self.part_count)
+            value, least = getattr(self, name), ">= 0" if name == "clip_start" else "> 0"
             check_type(name, value, int if name == "part_count" else float)
-            if not (value >= 0 if name == "clip_start" else value > 0):
-                raise ConfigError(
-                    f"{name} must be {'>= 0' if name == 'clip_start' else '> 0'}, got {value}"
-                )
+            if not ((value >= 0 if name == "clip_start" else value > 0) and value <= 2**53):
+                raise ConfigError(f"{name} must be {least} and at most 2**53, got {value}")
         if self.part_count * self.part_length > self.clip_length + 1e-9:
             raise ConfigError(
                 f"{self.part_count} parts of {self.part_length:g} s exceed "

@@ -202,6 +202,30 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     assert f"manifest error: entries[0]: {key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("dry_run", [True, False], ids=["dry-run", "run"])
+@pytest.mark.parametrize(
+    "key, plan",
+    [
+        ("clip_length", {"clip_length": math.inf}),
+        ("clip_start", {"clip_start": math.inf}),
+        ("clip_length", {"clip_length": math.inf, "part_length": None}),
+        ("part_count", {"part_count": 10**400}),
+        ("part_count", {"part_count": 10**400, "part_length": None}),
+    ],
+)
+def test_an_infinite_setting_exits_2(tmp_path, capsys, key, plan, dry_run):
+    # json reads Infinity: --dry-run said "manifest OK" and run exited 3
+    # with an OverflowError, and a null part_length derived from an
+    # infinite clip, or a part count past float64, exited 3 at --dry-run
+    path, doc = write_corpus(tmp_path, n_entries=1)
+    doc["defaults"]["window_plan"].update(plan)
+    rewrite(path, doc)
+    flags = ["--dry-run"] if dry_run else ["--out", str(tmp_path / "out")]
+    assert main(["run", "--manifest", str(path), *flags]) == 2
+    assert f"manifest error: entries[0]: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "where, flags",
     [("defaults", ["--q-step", "0.5"]), ("entry", [])],
@@ -1089,6 +1113,29 @@ def test_readme_lists_exactly_the_run_flags():
     [subcommands] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     options = {o for a in subcommands.choices["run"]._actions for o in a.option_strings}
     assert listed == options - {"-h", "--help"}
+
+
+
+def test_readme_lists_exactly_the_columns_written(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme[readme.index("| file | rows | columns |"):].split("\n\n")[0]
+    listed = {}
+    for row in table.splitlines()[2:]:
+        names, _, columns = (cell.strip() for cell in row.strip("|").split("|"))
+        for name in re.findall(r"`([^`]+)`", names):
+            listed[name] = columns.split(" (")[0].split(", ")  # a note follows in parentheses
+    # every table from no reports, and a spectrum and a song's plot from a
+    # report with no mean curve
+    record = pipeline.RenditionRecord("song", "artist", 1970, 1, tmp_path / "take.wav")
+    report = RenditionReport(record, (pipeline.PartResult(1, ()),))
+    written = {}
+    for reports in ([], [report]):
+        out = tmp_path / f"out{len(reports)}"
+        cli.write_outputs(reports, out)
+        for path in out.iterdir():
+            name = path.name.replace(record.rendition_id, "<id>").replace("plot_song.", "plot_<song>.")
+            written[name] = read_csv(path)[0]
+    assert listed == written
 
 
 def test_synth_builds_runnable_corpus(tmp_path, capsys):

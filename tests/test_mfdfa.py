@@ -49,7 +49,6 @@ from mfaudio.analysis import (
     _detrend_basis,
     _distinct,
     _q_lattice,
-    _scale_fluctuations,
     _segment_msq,
 )
 from mfaudio.manifest import build_q_grid
@@ -80,6 +79,14 @@ def test_profile_rejects_non_finite():
 
     with pytest.raises(NonFiniteDataError):
         compute_profile(np.array([1.0, np.inf]))
+
+
+@pytest.mark.parametrize("analyze", [compute_profile, mfdfa])
+@pytest.mark.parametrize("shape", [(64, 64), (), (1, 256)])
+def test_analysis_refuses_samples_that_are_not_1_d(analyze, shape):
+    # a 2-D array failed in the in-place cumsum with numpy's broadcast error
+    with pytest.raises(ConfigError, match="samples must be 1-D"):
+        analyze(np.ones(shape))
 
 
 # --- segment fluctuation ----------------------------------------------------
@@ -151,6 +158,22 @@ def test_q_order_means_power_mean_inequality():
         assert np.all(np.diff(vals) >= 0)
 
 
+@pytest.mark.parametrize("fluctuations, q, error", [
+    ([1.0, math.nan, 2.0], [-1.0, 0.0, 2.0], NonFiniteDataError),
+    ([1.0, math.inf, 2.0], [-1.0, 0.0, 2.0], NonFiniteDataError),
+    ([], [1.0, 2.0], ConfigError),
+    ([1.0, 2.0], [math.nan], ConfigError),
+    ([1.0, 2.0], [0.0, -math.inf, 2.0], ConfigError),
+    (np.ones((2, 3)), [2.0], ConfigError),
+    ([1.0, 2.0], [[1.0, 2.0]], ConfigError),
+])
+def test_q_order_means_refuses_what_fluctuation_function_refuses(fluctuations, q, error):
+    # these returned NaN, raised numpy's RuntimeWarning, IndexError or
+    # ValueError, or (a NaN q) returned [0.]
+    with pytest.raises(error):
+        q_order_means(fluctuations, q)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     arrays(
@@ -168,16 +191,27 @@ def test_q_order_means_monotone_property(msq):
 # --- fluctuation function ----------------------------------------------------
 
 def test_fluctuation_function_matches_per_segment_route():
-    # the vectorized surface must agree with the one-segment operation
+    # the vectorized surface must agree with the one-segment operation.
+    # 256 is divisible by every scale, so forward and backward segments
+    # cover the same samples; at 299 they cover different ones
+    for n, order in ((256, 1), (299, 1), (256, 2), (299, 2)):
+        _check_per_segment_route(n, order)
+
+
+def _check_per_segment_route(n, order):
     rng = np.random.default_rng(8)
-    sig = rng.standard_normal(256)
+    sig = rng.standard_normal(n)
     prof = compute_profile(sig)
-    config = MfdfaConfig(scales=[8, 16, 32, 64], q_grid=[-2.0, 0.0, 2.0])
+    config = MfdfaConfig(scales=[8, 16, 32, 64], q_grid=[-2.0, 0.0, 2.0], detrend_order=order)
     surface = fluctuation_function(prof, config)
     for j, s in enumerate(surface.scale_grid):
         n_seg = prof.values.size // s
-        msq = [segment_fluctuation(prof, int(s), v, 1, "forward") for v in range(1, n_seg + 1)]
-        msq += [segment_fluctuation(prof, int(s), v, 1, "backward") for v in range(1, n_seg + 1)]
+        msq = [segment_fluctuation(prof, int(s), v, order, d)
+               for d in ("forward", "backward") for v in range(1, n_seg + 1)]
+        # both routes slice through analysis._segments; the test's own
+        # slicing checks that layout
+        np.testing.assert_allclose(msq, _msq(_segments(prof.values, int(s)), order), rtol=1e-12,
+                                   err_msg=f"n={n} order={order} s={s}")
         expected = _lse_q_means(msq, config.q_grid)
         assert np.allclose(surface.values[:, j], expected, rtol=1e-12)
         assert surface.segment_counts[j] == 2 * n_seg
@@ -307,6 +341,11 @@ def _segments(y, s):
     return np.concatenate([y[: n * s].reshape(n, s), y[y.size - n * s :].reshape(n, s)[::-1]])
 
 
+def _msq(segments, order):
+    """F^2 of every row of ``segments``, by the kernel of fluctuation_function."""
+    return _segment_msq(segments, order, np.empty(len(segments)))
+
+
 @pytest.fixture(scope="module")
 def reference_signals():
     signals = {f"fgn-{h}": gen_fgn(FgnSpec(h, 2**15, 7)).samples for h in (0.3, 0.5, 0.7, 0.9)}
@@ -343,7 +382,8 @@ def test_q_moments_match_lse_reference(reference_signals, q_grid):
         profile = compute_profile(x)
         surface = fluctuation_function(profile, config)
         for j, s in enumerate(surface.scale_grid):
-            expected = _lse_q_means(_scale_fluctuations(profile.values, int(s), config), config.q_grid)
+            msq = _msq(_segments(profile.values, int(s)), config.detrend_order)
+            expected = _lse_q_means(msq, config.q_grid)
             assert np.all(np.isfinite(expected))
             np.testing.assert_allclose(
                 surface.values[:, j], expected, rtol=1e-12, atol=0, err_msg=f"{name} s={s}"
@@ -384,7 +424,7 @@ def test_order_one_fluctuation_matches_extended_precision_on_cascade():
         yc = ext - ext.mean(axis=1, keepdims=True)
         resid = yc - np.outer((yc * t).sum(axis=1) / (t * t).sum(), t)
         expected = (resid * resid).mean(axis=1)
-        rel = np.abs(_segment_msq(segments, 1) - expected) / expected
+        rel = np.abs(_msq(segments, 1) - expected) / expected
         assert float(rel.max()) <= 1e-10, f"s={s}"
 
 

@@ -396,6 +396,22 @@ def test_window_plan_needs_one_window_per_part():
                       window_length=1e-8).windows_per_part == 1
 
 
+def test_window_plan_derives_a_null_part_length_after_checking_its_terms():
+    assert WindowPlan(clip_length=180.0, part_count=4, part_length=None).part_length == 45.0
+    with pytest.raises(ConfigError, match=r"clip_length must be > 0 and at most 2\*\*53, got inf"):
+        WindowPlan(clip_length=math.inf, part_length=None)
+    with pytest.raises(ConfigError, match="part_count must be an integer"):
+        WindowPlan(part_count=2.0, part_length=None)
+
+
+@pytest.mark.parametrize("rate", [math.inf, math.nan, 0.0, -8000.0])
+def test_signal_refuses_a_sample_rate_that_is_not_finite_and_positive(rate):
+    # an infinite rate was accepted, and analyze_rendition(signal=) then
+    # failed in _window_spans with a ValueError
+    with pytest.raises(ConfigError, match="sample_rate must be finite and > 0"):
+        Signal(np.ones(8), rate)
+
+
 def test_window_spans_sample_arithmetic():
     # 180 s at 22050 Hz from 10 s on -> 180 * 22050 samples from 220,500 on
     plan = WindowPlan(clip_start=10.0, clip_length=180.0, part_count=1, part_length=180.0,
