@@ -23,9 +23,10 @@ for any N.  Before the run it pins glibc's malloc thresholds
 plus a manifest) so the whole pipeline runs with zero external data.
 
 Exit status: 0 on full success, 1 if any rendition errored, 2 for an
-invalid manifest or arguments, 3 for an internal error (an exception the
-program does not expect, a worker process that died included, reported
-as one line).  Errors go to stderr.
+invalid manifest (a ``manifest error`` line per violation) or invalid
+arguments or output path (one ``<command> error`` line, from ``main``), 3
+for an internal error (an exception the program does not expect, a worker
+process that died included, reported as one line).  Errors go to stderr.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ import sys
 from pathlib import Path
 
 from .analysis import legendre_spectrum
-from .errors import ManifestError, MfaudioError
+from .errors import ConfigError, ManifestError, MfaudioError
 from .manifest import validate_manifest
 from .pipeline import RenditionReport, _check_jobs, _slug, aggregate_generation, run_corpus
 from .signal_io import WindowPlan, write_wav
@@ -188,19 +189,12 @@ def _cmd_run(args) -> int:
         or os.environ.get("MFAUDIO_OUT")
         or "mfaudio-out"
     )
-    if not out_dir.is_absolute() and args.out is None and manifest.output_dir is not None:
-        out_dir = manifest.source_path.parent / out_dir
 
     _pin_malloc_thresholds()
     outcomes, failures = run_corpus(manifest, jobs=args.jobs)
     reports = [o for o in outcomes if isinstance(o, RenditionReport)]
 
-    try:
-        write_outputs(reports, out_dir)
-    except OSError as err:
-        print(f"output error: {err}", file=sys.stderr)
-        return 2
-
+    write_outputs(reports, out_dir)
     for report in reports:
         if report.errored:
             bad = [p.part_index for p in report.parts if p.errored]
@@ -219,20 +213,15 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.generations < 1 or args.parts < 1:
-        problem = "generations and parts must be >= 1"
-    elif args.seed < 0:
-        problem = "seed must be >= 0"
-    elif not (0 < args.rate < 2**30 and args.rate.is_integer()  # float32 byte rate < 2^32
-              and 2 <= args.duration * args.rate < math.inf):
-        problem = "rate must be a whole number of Hz in (0, 2^30), and duration * rate at least 2 samples"
-    else:
-        problem = None
-    if problem:
-        print(f"synth error: {problem}", file=sys.stderr)
-        return 2
+    if args.generations < 1:
+        raise ConfigError("generations must be >= 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be >= 0")
+    if not (0 < args.rate < 2**30 and args.rate.is_integer()  # float32 byte rate < 2^32
+            and 2 <= args.duration * args.rate < math.inf):
+        raise ConfigError("rate must be a whole number of Hz in (0, 2^30), and duration * rate at least 2 samples")
     plan = WindowPlan(clip_length=args.duration, part_count=args.parts,
-                      part_length=args.duration / args.parts, window_length=args.window_seconds)
+                      part_length=None, window_length=args.window_seconds)
 
     out = Path(args.out)
     (out / "audio").mkdir(parents=True, exist_ok=True)
@@ -307,7 +296,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (MfaudioError, OSError) as err:  # e.g. a synth --out under a regular file
+    except (MfaudioError, OSError) as err:  # e.g. an --out under a regular file
         print(f"{args.command} error: {err}", file=sys.stderr)
         return 2
     except Exception as err:  # a defect, kept apart from a failed rendition (1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copyreg
 import numbers
+import sys
 
 
 class MfaudioError(Exception):
@@ -73,11 +74,14 @@ def check_type(name: str, value, kind: type) -> None:
     """Raise ConfigError unless ``value`` is of ``kind``: int or float.
 
     Python and numpy scalars count and nothing is coerced; a bool is
-    neither an integer nor a number here.
+    neither an integer nor a number here, and an integer past float64's
+    range is not a number.
     """
     abstract, noun = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number")}[kind]
     if not isinstance(value, abstract) or isinstance(value, bool):
         raise ConfigError(f"{name} must be {noun}, got {value!r}")
+    if kind is float and isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max:
+        raise ConfigError(f"{name} must be a number, got an integer past float64's range")
 
 
 class DegenerateSegmentError(MfaudioError):

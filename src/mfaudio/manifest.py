@@ -19,8 +19,8 @@ log-spacing rule.  A ``part_length`` of null makes WindowPlan derive
 ``clip_length / part_count``.  Entries must not share an output file
 name: spectrum_<rendition_id>.csv and, across songs, plot_<song>.csv.
 
-Audio paths are resolved relative to the manifest file.  Validation
-reports every violation, not just the first.
+Audio paths and a non-empty ``output_dir`` are resolved relative to the
+manifest file.  Validation reports every violation, not just the first.
 """
 
 from __future__ import annotations
@@ -49,11 +49,10 @@ _MAX_GRID_VALUES = 10_000  # q values or scales; a q_step of 1e-13 asked for 728
 
 @dataclass(frozen=True)
 class Manifest:
-    """Validated corpus description: one RenditionRecord per entry."""
+    """Validated corpus: one RenditionRecord per entry, and output_dir resolved or None."""
 
     records: tuple[RenditionRecord, ...]
-    output_dir: str | None
-    source_path: Path
+    output_dir: Path | None
 
 
 def parse_scale_rule(text: str) -> np.ndarray:
@@ -132,7 +131,7 @@ def validate_manifest(
     cli_plan: dict | None = None,
     cli_mfdfa: dict | None = None,
 ) -> Manifest:
-    """Parse and validate a manifest, reporting every violation at once.
+    """Parse and validate a manifest; one ManifestError reports every violation.
 
     ``cli_plan`` / ``cli_mfdfa`` are command-line overrides that sit
     between the manifest defaults and the per-entry settings.
@@ -218,7 +217,7 @@ def validate_manifest(
                 plan=plan,
                 config=config,
             )
-        except (MfaudioError, TypeError, ValueError) as err:
+        except MfaudioError as err:
             violations.append(f"{label}: {err}")
             continue
 
@@ -250,4 +249,4 @@ def validate_manifest(
 
     if violations:
         raise ManifestError(violations)
-    return Manifest(tuple(records), output_dir, path)
+    return Manifest(tuple(records), path.parent / output_dir if output_dir else None)

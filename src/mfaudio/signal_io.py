@@ -90,8 +90,8 @@ class WindowPlan:
     seconds.  Remainder samples at part or window boundaries are dropped,
     never zero-padded.  ``part_length=None`` derives clip_length /
     part_count, so 4 parts of a 180 s clip last 45 s.  Every setting is
-    checked in field order and is at most 2**53: no second is infinite,
-    and no part count overflows a product of seconds.
+    checked in field order and is at most 2**53, as is a part's window
+    count: no second or count is infinite, nor is a product of them.
     """
 
     clip_start: float = 0.0
@@ -113,6 +113,9 @@ class WindowPlan:
                 f"{self.part_count} parts of {self.part_length:g} s exceed "
                 f"the {self.clip_length:g} s clip"
             )
+        if self.window_length * 2.0**53 < self.part_length:  # before floor(inf)
+            raise ConfigError(f"window_length must be at least part_length / 2**53, got "
+                              f"{self.window_length:g} s for a {self.part_length:g} s part")
         if self.window_length > self.part_length + 1e-9 or self.windows_per_part < 1:
             raise ConfigError(
                 f"window of {self.window_length:g} s does not fit in a "

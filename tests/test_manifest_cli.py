@@ -18,6 +18,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mfaudio import (
     ManifestError,
@@ -35,7 +37,7 @@ from mfaudio import (
 )
 from mfaudio import analysis, cli, pipeline
 from mfaudio.cli import main
-from mfaudio.manifest import build_q_grid, parse_scale_rule
+from mfaudio.manifest import _SECTIONS, build_q_grid, parse_scale_rule
 
 
 def write_corpus(tmp_path, n_entries=2, rate=4000.0, seconds=24.0, silent=()):
@@ -184,6 +186,9 @@ def test_mistyped_entry_field_exits_2(tmp_path, capsys, key, value):
         (None, "detrend_order", None, ["--detrend-order", "20000", "--scales", "20002:24000:4"]),
         ("mfdfa", "q_grid", [-2.0, -1.0, True, 2.0, 3.0], []),
         ("mfdfa", "q_grid", [-1.0, False, 2.0], []),
+        pytest.param("mfdfa", "q_min", -(10**400), [], id="mfdfa-q_min--1e400"),
+        pytest.param("mfdfa", "q_max", 10**400, [], id="mfdfa-q_max-1e400"),
+        pytest.param("mfdfa", "q_step", 10**400, [], id="mfdfa-q_step-1e400"),
     ],
 )
 def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
@@ -192,7 +197,8 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
     # a ragged grid is reported under the setting's name, and so is a grid
     # holding a boolean, which ran as q = 1 or 0.  A scale past
     # int64 wrapped in the cast and the run exited 3; order 20,000 passed,
-    # and a run would have built 6.4 GB of detrending basis at one scale
+    # and a run would have built 6.4 GB of detrending basis at one scale;
+    # a 400-digit q bound overflowed the q range's float arithmetic (exit 3)
     path, doc = write_corpus(tmp_path, n_entries=1)
     if section is not None:
         doc["defaults"].setdefault(section, {})[key] = value
@@ -211,12 +217,14 @@ def test_mistyped_setting_exits_2(tmp_path, capsys, section, key, value, flags):
         ("clip_length", {"clip_length": math.inf, "part_length": None}),
         ("part_count", {"part_count": 10**400}),
         ("part_count", {"part_count": 10**400, "part_length": None}),
+        ("window_length", {"window_length": 1e-320}),
     ],
 )
 def test_an_infinite_setting_exits_2(tmp_path, capsys, key, plan, dry_run):
     # json reads Infinity: --dry-run said "manifest OK" and run exited 3
     # with an OverflowError, and a null part_length derived from an
-    # infinite clip, or a part count past float64, exited 3 at --dry-run
+    # infinite clip, or a part count past float64, exited 3 at --dry-run,
+    # and so did a subnormal window, infinitely many to a part
     path, doc = write_corpus(tmp_path, n_entries=1)
     doc["defaults"]["window_plan"].update(plan)
     rewrite(path, doc)
@@ -224,6 +232,43 @@ def test_an_infinite_setting_exits_2(tmp_path, capsys, key, plan, dry_run):
     assert main(["run", "--manifest", str(path), *flags]) == 2
     assert f"manifest error: entries[0]: {key} must be" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+_JSON_LEAVES = (
+    st.none() | st.booleans() | st.integers(-(10**420), 10**420)
+    | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    | st.text(max_size=6) | st.sampled_from(["16:64:4", "4:1024:20", "0:8:2", "16:16:3", "a:b:c"])
+)
+_JSON_LISTS = st.lists(_JSON_LEAVES, max_size=4)
+_JSON_OBJECTS = st.dictionaries(st.sampled_from("akq"), _JSON_LEAVES | _JSON_LISTS)
+_JSON_VALUES = _JSON_LEAVES | _JSON_LISTS | _JSON_OBJECTS | st.lists(_JSON_LISTS | _JSON_OBJECTS, max_size=3)
+# every key of window_plan and mfdfa, the q triple included, in the
+# manifest's defaults and in its entry
+_SETTING_PLACES = [(where, section, key) for where in ("defaults", "entry")
+                   for section, keys in _SECTIONS.items() for key in sorted(keys)]
+
+
+@pytest.fixture(scope="module")
+def one_entry_corpus(tmp_path_factory):
+    return write_corpus(tmp_path_factory.mktemp("fuzz"), n_entries=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(placed=st.dictionaries(st.sampled_from(_SETTING_PLACES), _JSON_VALUES, max_size=6))
+@example(placed={("defaults", "window_plan", "window_length"): 1e-320})
+@example(placed={("entry", "mfdfa", "q_max"): 10**400})
+def test_any_json_setting_validates_or_is_a_manifest_error(one_entry_corpus, placed):
+    # validation catches only the package's own errors, so any other
+    # exception a setting provokes would reach the CLI as an exit 3
+    path, doc = one_entry_corpus
+    doc = json.loads(json.dumps(doc))
+    for (where, section, key), value in placed.items():
+        target = doc["defaults"] if where == "defaults" else doc["entries"][0]
+        target.setdefault(section, {})[key] = value
+    try:
+        validate_manifest(rewrite(path, doc))
+    except ManifestError:
+        pass
 
 
 @pytest.mark.parametrize(
@@ -1078,6 +1123,45 @@ def test_output_dir_falls_back_to_environment(tmp_path, monkeypatch):
     assert (env_out / "widths.csv").exists()
 
 
+def test_an_unwritable_out_exits_2_with_one_run_error_line(tmp_path, capsys):
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    blocker = tmp_path / "afile"
+    blocker.write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["run", "--manifest", str(path), "--out", str(blocker / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("run error: ") and captured.err.count("\n") == 1
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before and blocker.read_text() == ""
+
+
+def test_a_relative_output_dir_lies_beside_the_manifest(tmp_path, capsys, monkeypatch):
+    corpus, elsewhere = tmp_path / "corpus", tmp_path / "elsewhere"
+    corpus.mkdir(), elsewhere.mkdir()
+    path, doc = write_corpus(corpus, n_entries=1)
+    doc["output_dir"] = "results"
+    rewrite(path, doc)
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--manifest", "../corpus/manifest.json"]) == 0
+    assert (corpus / "results" / "widths.csv").exists()
+    assert list(elsewhere.iterdir()) == []
+    assert capsys.readouterr().out.endswith(" -> ../corpus/results\n")
+
+
+def test_an_empty_output_dir_falls_back_to_environment(tmp_path, monkeypatch):
+    # "" names no directory: the manifest's own directory is not the default
+    corpus, elsewhere = tmp_path / "corpus", tmp_path / "elsewhere"
+    corpus.mkdir(), elsewhere.mkdir()
+    path, doc = write_corpus(corpus, n_entries=1)
+    doc["output_dir"] = ""
+    rewrite(path, doc)
+    monkeypatch.setenv("MFAUDIO_OUT", "env-out")
+    monkeypatch.chdir(elsewhere)
+    assert main(["run", "--manifest", str(path)]) == 0
+    assert (elsewhere / "env-out" / "widths.csv").exists()
+    assert sorted(p.name for p in corpus.iterdir()) == ["manifest.json", "take0.wav"]
+
+
 def test_the_retired_width_method_flag_exits_2(tmp_path, capsys):
     # the endpoint width is a windows.csv column now, not a mode of the run
     path, _ = write_corpus(tmp_path, n_entries=1)
@@ -1234,6 +1318,13 @@ def test_synth_accepts_a_plan_that_run_accepts(tmp_path, capsys):
                  "--duration", "180", "--parts", "6", "--window-seconds", "30.0000000001"]) == 0
     assert main(["run", "--manifest", str(corpus / "manifest.json"), "--dry-run"]) == 0
     assert capsys.readouterr().out.endswith("manifest OK: 1 entry\n")
+
+
+def test_synth_zero_parts_exits_2_through_window_plan(tmp_path, capsys):
+    corpus = tmp_path / "c"
+    assert main(["synth", "--out", str(corpus), "--parts", "0"]) == 2
+    assert capsys.readouterr().err == "synth error: part_count must be > 0 and at most 2**53, got 0\n"
+    assert not corpus.exists()
 
 
 def test_synth_negative_seed_exits_2(tmp_path, capsys):

@@ -120,7 +120,7 @@ def test_pool_changes_no_bits(tmp_path):
     record = make_record(tmp_path, Signal(samples, 4000.0))
     serial = analyze_rendition(record)
     assert [w.flagged for p in serial.parts for w in p.windows] == [False, False, True, False]
-    manifest = Manifest((record,), None, tmp_path / "manifest.json")
+    manifest = Manifest((record,), None)
     (pooled,), failures = pipeline.run_corpus(manifest, jobs=2)
     assert failures == []
     assert_same_report(serial, pooled)
