@@ -310,39 +310,46 @@ def _integrate(x: np.ndarray) -> Profile:
     return Profile(np.cumsum(x, out=x))
 
 
-# Orthonormal bases stay cached per (s, order): a window's default grid
-# has ~20 scales, so this holds the grids of a few window lengths.
+# Orthonormal bases of scales up to _CACHED_SCALE_MAX samples stay cached
+# per (s, order), 13 of a 132,300-sample window's default scales, so this
+# holds the small bases of a few window lengths.  Each larger basis is built
+# once per window and scale: the 7 of such a window hold 94% of its basis
+# floats for 8-88 segments each, and take 0.6 ms to build.  Caching up to
+# 2**10 .. 2**13 samples gave the same peak RSS.
 _BASIS_CACHE_SIZE = 64
+_CACHED_SCALE_MAX = 2**11
 
 
 @functools.lru_cache(maxsize=_BASIS_CACHE_SIZE)
 def _detrend_basis(s: int, order: int) -> np.ndarray:
-    """Orthonormal basis (s, order + 1) of the polynomials of degree <= order.
+    """Orthonormal basis (order + 1, s) of the polynomials of degree <= order.
 
-    Classical Gram-Schmidt applied twice to the columns of the Vandermonde
-    matrix on abscissae scaled to [-1, 1], which keeps it well conditioned;
-    the second pass leaves the basis orthonormal to working precision
-    (Giraud et al. 2005).  Every dot product is an einsum over contiguous
-    rows, never a BLAS or LAPACK call: a LAPACK QR loads library pages
-    that outweigh the bases, and OpenBLAS hands long 1-D dots to a helper
-    thread.  Read-only because it is shared.  The basis is allocated
-    before its temporaries, so the cached bases of a grid pack together
-    in the heap instead of each sitting above the hole its build leaves.
+    Row k is the Gram (discrete Chebyshev) polynomial p_k on the abscissae
+    t = (i - h) / h, h = (s - 1) / 2, scaled to unit norm: p_0 = 1,
+    p_1 = t and p_{k+1} = t p_k - c_k p_{k-1} with the exact
+    c_k = k^2 (s^2 - k^2) / (4 (4 k^2 - 1) h^2).  The p_k are orthogonal on
+    these points, and their three-term recurrence keeps that to working
+    precision at every tested order and size.  Norms are einsums over
+    contiguous rows, never a BLAS or LAPACK call: a LAPACK QR loads library
+    pages that outweigh the bases, and OpenBLAS hands long 1-D dots to a
+    helper thread.  Read-only because it may be shared.
     """
-    basis = np.empty((s, order + 1))
-    x = np.arange(1 - s, s, 2, dtype=float)  # 2 i - (s - 1), scaled in place
-    x /= s - 1
-    rows, scratch = np.empty((order + 1, s)), np.empty(s)
-    for k, v in enumerate(rows):
-        np.power(x, k, out=v)
-        for _ in range(2):
-            coefs = [np.einsum("i,i", q, v) for q in rows[:k]]
-            for c, q in zip(coefs, rows[:k]):
-                v -= np.multiply(c, q, out=scratch)
+    rows = np.empty((order + 1, s))
+    rows[0] = 1.0
+    rows[1] = np.arange(1 - s, s, 2, dtype=float)  # 2 i - (s - 1) = 2 (i - h)
+    rows[1] /= s - 1
+    for k in range(1, order):
+        np.multiply(rows[1], rows[k], out=rows[k + 1])
+        rows[k + 1] -= k * k * (s * s - k * k) / ((4 * k * k - 1) * (s - 1) ** 2) * rows[k - 1]
+    for v in rows:
         v /= math.sqrt(np.einsum("i,i", v, v))
-    basis[:] = rows.T
-    basis.flags.writeable = False
-    return basis
+    rows.flags.writeable = False
+    return rows
+
+
+def _basis(s: int, order: int) -> np.ndarray:
+    """``_detrend_basis``, cached only up to ``_CACHED_SCALE_MAX`` samples."""
+    return (_detrend_basis if s <= _CACHED_SCALE_MAX else _detrend_basis.__wrapped__)(s, order)
 
 
 def _segments(y: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -353,24 +360,24 @@ def _segments(y: np.ndarray, s: int) -> tuple[np.ndarray, np.ndarray]:
     return y[: n_seg * s].reshape(n_seg, s), y[y.size - n_seg * s :].reshape(n_seg, s)[::-1]
 
 
-def _segment_msq(segments: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
-    """Mean squared residual of a degree-``order`` LS fit per row, into ``out``.
+def _segment_msq(segments: np.ndarray, basis: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Mean squared residual per row of its LS fit in the span of the
+    orthonormal rows of ``basis``, into ``out``.
 
     Each row is first anchored at its own first value.  A constant lies
     in the fit's span, so the residual is unchanged, but the profile's
     offset no longer scales the rounding error.  The residual is formed
-    explicitly, r = A - (A Q) Q^T, never as |A|^2 - |Q^T A|^2, which
+    explicitly, r = A - (A Q^T) Q, never as |A|^2 - |Q^T A|^2, which
     cancels.  Anchor, projection and norm run over a block of rows of
     ``_DETREND_BLOCK_TERMS`` samples (or one row) at a time, so no copy
     of ``segments`` is made.
     """
     n, s = segments.shape
-    basis = _detrend_basis(s, order)
     rows = _DETREND_BLOCK_TERMS // s or 1
     for lo in range(0, n, rows):
         block = segments[lo : lo + rows]
         resid = block - block[:, :1]
-        resid -= (resid @ basis) @ basis.T
+        resid -= (resid @ basis.T) @ basis
         np.einsum("ij,ij->i", resid, resid, out=out[lo : lo + rows])
     out /= s
     return out
@@ -391,7 +398,7 @@ def segment_fluctuation(
     segments = _segments(profile.values, s)[direction == "backward"]
     if not 1 <= v <= len(segments):
         raise ConfigError(f"segment v={v} outside 1..{len(segments)} at scale s={s}")
-    return float(_segment_msq(segments[v - 1 : v], order, np.empty(1))[0])
+    return float(_segment_msq(segments[v - 1 : v], _basis(s, order), np.empty(1))[0])
 
 
 def q_order_means(fluctuations, q_grid, q_zero_epsilon: float = 1e-9) -> np.ndarray:
@@ -509,21 +516,20 @@ def fluctuation_function(profile: Profile, config: MfdfaConfig | None = None) ->
     DegenerateSegmentError, naming the first offending (s, v) in that
     order, if any segment is digital silence: its RMS residual is at or
     below ``_silence_floor(profile)``, the size of the profile's own
-    rounding.  Negative-q moments diverge on such segments.  The bases are
-    fetched first, to sit below the temporaries in the heap, and the
-    profile is never written.
+    rounding.  Negative-q moments diverge on such segments.  Each scale's
+    basis serves both directions, and the profile is never written.
     """
     config = config if config is not None else MfdfaConfig()
     y = profile.values
     scales = config.scales_for(y.size)
-    for s in scales:
-        _detrend_basis(int(s), config.detrend_order)
     counts = 2 * (y.size // scales)
     starts = np.cumsum(counts) - counts
     msq = np.empty(counts.sum())
     for s, start, count in zip(scales, starts, counts):
+        basis = _basis(int(s), config.detrend_order)
         for segments, out in zip(_segments(y, int(s)), msq[start : start + count].reshape(2, -1)):
-            _segment_msq(segments, config.detrend_order, out)
+            _segment_msq(segments, basis, out)
+    del basis  # not held through the q-moments
     if not math.isfinite(msq.max()):
         raise NonFiniteDataError("fluctuation function overflowed; rescale the input")
     silent = np.sqrt(msq) <= _silence_floor(profile)
@@ -599,9 +605,9 @@ def spectrum_width(spectrum: SingularitySpectrum, method: str = "quadratic") -> 
     quadratic, the width ``mfdfa`` takes: least-squares fit of f = A u^2 +
     B u + 1 (u = alpha - alpha_0, alpha_0 at the apex) over the points with
     f >= APEX_FLOOR; W is the separation of the parabola's roots at f = 0.
-    (u^2, u) = QR by Gram-Schmidt applied twice, as in ``_detrend_basis``,
-    not by LAPACK or the normal equations; fewer than two distinct nonzero
-    u raise InsufficientSpectrumError, a non-concave fit NonConcaveSpectrumError.
+    (u^2, u) = QR by Gram-Schmidt applied twice (Giraud et al. 2005), not by
+    LAPACK or the normal equations; fewer than two distinct nonzero u raise
+    InsufficientSpectrumError, a non-concave fit NonConcaveSpectrumError.
     endpoints: W = max(alpha) - min(alpha), the pipeline's ``endpoint_width``.
     """
     alpha = spectrum.alpha

@@ -189,6 +189,7 @@ def _cmd_run(args) -> int:
         or os.environ.get("MFAUDIO_OUT")
         or "mfaudio-out"
     )
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unwritable --out fails before the analysis
 
     _pin_malloc_thresholds()
     outcomes, failures = run_corpus(manifest, jobs=args.jobs)

@@ -1123,11 +1123,16 @@ def test_output_dir_falls_back_to_environment(tmp_path, monkeypatch):
     assert (env_out / "widths.csv").exists()
 
 
-def test_an_unwritable_out_exits_2_with_one_run_error_line(tmp_path, capsys):
+def test_an_unwritable_out_exits_2_with_one_run_error_line(tmp_path, capsys, monkeypatch):
     path, _ = write_corpus(tmp_path, n_entries=1)
     blocker = tmp_path / "afile"
     blocker.write_text("")
     before = sorted(tmp_path.rglob("*"))
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the corpus was analysed before --out was created")
+
+    monkeypatch.setattr(cli, "run_corpus", no_run)
     assert main(["run", "--manifest", str(path), "--out", str(blocker / "out")]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith("run error: ") and captured.err.count("\n") == 1

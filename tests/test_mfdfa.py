@@ -45,9 +45,12 @@ from mfaudio import (
     tau_from_h,
 )
 from mfaudio.analysis import (
+    _CACHED_SCALE_MAX,
     _MAX_DETREND_ORDER,
+    _basis,
     _detrend_basis,
     _distinct,
+    _mfdfa_in_place,
     _q_lattice,
     _segment_msq,
 )
@@ -225,7 +228,7 @@ def _pairwise_gram(a, b):
 
 # the highest order a config accepts has a tested basis
 @pytest.mark.parametrize("order", [1, 2, 3, _MAX_DETREND_ORDER])
-@pytest.mark.parametrize("size", ["m+2", 16, 1000, 33075])
+@pytest.mark.parametrize("size", ["m+2", 16, 1000, 33075, 132_300])
 def test_detrend_basis_is_orthonormal_and_spans_the_polynomials(order, size, monkeypatch):
     s = order + 2 if size == "m+2" else size
     x = (2.0 * np.arange(s) - (s - 1)) / (s - 1)
@@ -236,8 +239,9 @@ def test_detrend_basis_is_orthonormal_and_spans_the_polynomials(order, size, mon
 
     monkeypatch.setattr(np.linalg, "qr", no_qr)
     _detrend_basis.cache_clear()
-    basis = _detrend_basis(s, order)
-    assert basis.shape == (s, order + 1) and basis.flags.c_contiguous
+    rows = _basis(s, order)
+    assert rows.shape == (order + 1, s) and rows.flags.c_contiguous
+    basis = rows.T
     np.testing.assert_allclose(_pairwise_gram(basis, basis), np.eye(order + 1),
                                rtol=0, atol=1e-12)
     # two orthogonal projectors of equal rank differ in spectral norm by
@@ -343,7 +347,7 @@ def _segments(y, s):
 
 def _msq(segments, order):
     """F^2 of every row of ``segments``, by the kernel of fluctuation_function."""
-    return _segment_msq(segments, order, np.empty(len(segments)))
+    return _segment_msq(segments, _basis(segments.shape[1], order), np.empty(len(segments)))
 
 
 @pytest.fixture(scope="module")
@@ -498,6 +502,33 @@ def test_fluctuation_peak_memory_on_a_paper_window():
     finally:
         tracemalloc.stop()
     assert peak < 8 * 2**20, f"{peak / 2**20:.1f} MiB"
+
+
+def test_a_paper_window_caches_only_its_small_bases():
+    # the 7 scales above 2**11 hold 94% of the window's 1.52 MiB of bases
+    n = 132_300
+    _detrend_basis.cache_clear()
+    mfdfa(gen_fgn_prefix(0.55, n, 4))
+    scales = default_scale_grid(n)
+    small = int(np.sum(scales <= _CACHED_SCALE_MAX))
+    assert 0 < small < scales.size
+    assert _detrend_basis.cache_info().currsize == small
+
+
+def test_a_cold_paper_window_peaks_below_two_windows():
+    # every basis built in the call: 3.17 windows when all of them were
+    # cached, 1.75 with the large ones built per scale and dropped
+    n = 132_300
+    samples = np.array(gen_fgn_prefix(0.55, n, 4).samples, dtype=np.float64)
+    _detrend_basis.cache_clear()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        _mfdfa_in_place(samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n * 8, f"{peak / (n * 8):.2f} windows"
 
 
 # --- scaling fit ---------------------------------------------------------------
