@@ -12,12 +12,13 @@ separator, fixed column order):
 - ``plot_<song>.csv``   long-format plot data per song
 - ``plot_all_songs.csv``  the same across every song
 
-``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it maps the
-windows of every rendition, queued as one stream, over a pool of forked
-worker processes (capped at ``pipeline._usable_cpus()``, the CPUs this
-process may run on); at 1 it imports no pool.  The outputs are identical
-for any N.  Before the run it pins glibc's malloc thresholds
-(``_pin_malloc_thresholds``), and the forked workers inherit them.
+``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it hands the
+windows of every rendition, in batches, to N processes forked by
+``os.fork`` (an argument error where there is none), capped at
+``pipeline._usable_cpus()``, the CPUs this process may run on; at 1 it
+forks nothing.  The outputs are identical for any N.  Before the run it
+pins glibc's malloc thresholds (``_pin_malloc_thresholds``), and the
+forked workers inherit them.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -25,8 +26,8 @@ plus a manifest) so the whole pipeline runs with zero external data.
 Exit status: 0 on full success, 1 if any rendition errored, 2 for an
 invalid manifest (a ``manifest error`` line per violation) or invalid
 arguments or output path (one ``<command> error`` line, from ``main``), 3
-for an internal error (an exception the program does not expect, a worker
-process that died included, reported as one line).  Errors go to stderr.
+for an internal error (an exception the program does not expect, here
+or in a worker, or a worker that died, reported as one line).  Errors go to stderr.
 """
 
 from __future__ import annotations

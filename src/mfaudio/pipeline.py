@@ -4,15 +4,14 @@ MFDFA, per-part width averaging) and per-generation aggregation.
 ``run_corpus`` splits each recording by its :class:`WindowPlan` into
 parts, each part into windows, as sample spans computed from the WAV
 header alone.  Each window is one task of ``_analyze_window``, a pure
-function of the window and its config, mapped by builtin ``map`` or by
-``pool.map`` over forked worker processes (imported only for a pool),
-which sends the tasks in batches.  A task travels as its span; the
-process that runs it decodes the window's frames from the file into the
-array that becomes the window's profile, the one array of the window's
-length it holds, and a window's error is raised there with the window
-named.  The results are
-reduced in window order after the map, which keeps every mean
-bit-identical for any pool size.  Windows whose analysis degenerates
+function of the window and its config, run by builtin ``map`` or, in
+batches, by forked worker processes (``_workers``, imported only for
+them), which inherit the tasks.  The process that runs a task decodes
+the window's frames from the file into the array that becomes the
+window's profile, the one array of the window's length it holds, and a
+window's error is raised there with the window named.  The results are
+reduced in window order, which keeps every mean bit-identical for any
+number of workers.  Windows whose analysis degenerates
 (digital silence, a non-concave spectrum) are flagged with the reason and
 excluded from part means instead of poisoning them; a part whose every
 window is flagged is reported as errored.  All means are plain arithmetic
@@ -56,10 +55,10 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# A pool gets a rendition's windows in batches of at most this many samples,
+# Workers get a rendition's windows in batches of at most this many samples,
 # one window per batch where a window is longer (32 one-second windows per
 # batch at 8 kHz, six batches for a 180 s clip): one-second windows sent one
-# per task ran 10-20% slower, and batches sized by samples, not by part,
+# per batch ran 10-20% slower, and batches sized by samples, not by part,
 # still split a one-part clip across the workers.  On two cores 2**16 to
 # 2**18 timed alike; 2**19 loaded the workers unevenly.
 _CHUNK_SAMPLES = 2**18
@@ -180,15 +179,15 @@ def run_corpus(manifest, jobs: int = 1):
     Returns (outcomes, failures) where outcomes[i] is a RenditionReport or
     the MfaudioError that aborted entry i, and failures lists the errors.
     Every record is planned first (header, spans, one task per window),
-    then every record's windows are mapped, and the records are reduced
-    in manifest order.  With ``min(jobs, _usable_cpus())`` above 1, a
-    ``pool.map`` per record queues its windows at once, in batches, on a
-    pool of that many forked worker processes; else builtin ``map`` runs
-    each window in this process when its record is reduced, and the pool
-    is never imported.  Either way the process that analyses a window
-    builds a detrending basis the first time it needs one.  Outcomes do
-    not depend on ``jobs``.  A window error cancels its record's batches
-    not yet started; an unexpected exception cancels every one.
+    then the records are reduced in manifest order.  With
+    ``min(jobs, _usable_cpus())`` above 1, that many forked workers are
+    handed the records' batches of windows on demand, in order; else
+    builtin ``map`` runs each window in this process when its record is
+    reduced, and ``_workers`` is never imported.  Either way the process
+    that analyses a window builds a detrending basis the first time it
+    needs one.  Outcomes do not depend on ``jobs``.  A window error stops
+    its record's batches; an unexpected exception or a dead worker ends
+    the run.  Every worker is reaped before this returns or raises.
     """
     _check_jobs(jobs)
     workers = min(jobs, _usable_cpus())
@@ -196,25 +195,21 @@ def run_corpus(manifest, jobs: int = 1):
     pool = None
     if workers > 1:
         # threads serialise on the interpreter lock over a window's small
-        # numpy calls.  Forked workers inherit the imported modules and the
-        # pinned malloc thresholds, which spawned ones would not; each builds
-        # the detrending bases it needs on first use.  The pool forks them
-        # all at its first submit, before it starts a thread of its own.
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        pool = ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("fork"))
+        # numpy calls.  Forked workers inherit the imported modules, the
+        # pinned malloc thresholds and the batches, which spawned ones
+        # would not; each builds the detrending bases it needs on first use.
+        from ._workers import Workers
+        pool = Workers(_analyze_window, [[] if isinstance(tasks, MfaudioError) else tasks for tasks in plans],
+                       lambda tasks: max(1, _CHUNK_SAMPLES // (tasks[0][1][1] - tasks[0][1][0])), workers)
     try:
-        # every map is called before any record is reduced: pool.map
-        # submits its batches at once, and yields their results in order
         streams = [tasks if isinstance(tasks, MfaudioError)
                    else map(_analyze_window, tasks) if pool is None
-                   else pool.map(_analyze_window, tasks, chunksize=_chunksize(tasks))
-                   for tasks in plans]
+                   else pool.results(r) for r, tasks in enumerate(plans)]
         outcomes = [s if isinstance(s, MfaudioError) else _kept(_reduce_rendition, record, s)
                     for record, s in zip(manifest.records, streams)]
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            pool.close()
     failures = [o for o in outcomes if isinstance(o, MfaudioError)]
     return outcomes, failures
 
@@ -222,6 +217,8 @@ def run_corpus(manifest, jobs: int = 1):
 def _check_jobs(jobs: int) -> None:
     if jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {jobs}")
+    if jobs > 1 and not hasattr(os, "fork"):
+        raise ConfigError(f"jobs must be 1 where the platform has no os.fork, got {jobs}")
 
 
 def _usable_cpus() -> int:
@@ -273,13 +270,6 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> li
     return [(source, span, record.config, (rendition_id, p_idx, w_idx))
             for p_idx, part in enumerate(spans, start=1)
             for w_idx, span in enumerate(part, start=1)]
-
-
-def _chunksize(tasks: list[tuple]) -> int:
-    """Windows per pool task: as many windows of the first one's length as
-    ``_CHUNK_SAMPLES`` holds, and at least one."""
-    a, b = tasks[0][1]
-    return max(1, _CHUNK_SAMPLES // (b - a))
 
 
 def _reduce_rendition(

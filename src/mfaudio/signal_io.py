@@ -44,7 +44,7 @@ _FLOOR_GUARD = 1e-6
 # WAV data is read in blocks of this many samples (1 MiB as float64), never whole
 _DECODE_BLOCK_SAMPLES = 2**17
 
-# Bytes per block of a float WAV's NaN/infinity scan; two blocks are alive at once
+# Bytes per block of a float WAV's NaN/infinity scan, each read into one reused buffer
 _SCAN_BLOCK_BYTES = 2**16
 
 
@@ -255,11 +255,14 @@ def _require_finite(layout: _WavLayout) -> None:
     if layout.tag != _WAVE_FORMAT_IEEE_FLOAT:
         return
     size = layout.n_frames * layout.channels * 4
+    block = bytearray(min(_SCAN_BLOCK_BYTES, size))
+    values = np.frombuffer(block, dtype="<f4")
+    finite = np.empty(values.size, dtype=bool)
     with _open(layout.path) as handle:
         handle.seek(layout.data_at)
         for at in range(0, size, _SCAN_BLOCK_BYTES):
-            raw = handle.read(min(_SCAN_BLOCK_BYTES, size - at))
-            if not np.isfinite(np.frombuffer(raw, dtype="<f4")).all():
+            n = handle.readinto(memoryview(block)[: size - at]) // 4
+            if not np.isfinite(values[:n], out=finite[:n]).all():
                 raise NonFiniteDataError("signal samples contain NaN or infinity").add_context(
                     str(layout.path))
 

@@ -1,5 +1,4 @@
 import argparse
-import concurrent.futures
 import csv
 import ctypes
 import json
@@ -11,8 +10,8 @@ import re
 import struct
 import subprocess
 import sys
+import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -35,7 +34,7 @@ from mfaudio import (
     validate_manifest,
     write_wav,
 )
-from mfaudio import analysis, cli, pipeline
+from mfaudio import _workers, analysis, cli, pipeline
 from mfaudio.cli import main
 from mfaudio.manifest import _SECTIONS, build_q_grid, parse_scale_rule
 
@@ -513,46 +512,70 @@ def test_nonpositive_jobs_exits_2(tmp_path, capsys, jobs):
     assert not out.exists()
 
 
+def recording_workers(monkeypatch):
+    """The worker counts asked of ``_workers.Workers``, and the processes
+    forked from this one; each request forks one worker."""
+    requested, forks = [], []
+    real_workers, real_fork = _workers.Workers, os.fork
+
+    def workers(run, lists, batch_size, count):
+        requested.append(count)
+        return real_workers(run, lists, batch_size, 1)
+
+    monkeypatch.setattr(_workers, "Workers", workers)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(True) or real_fork())
+    return requested, forks
+
+
 def test_jobs_is_capped_at_the_cpu_count(tmp_path, monkeypatch):
-    requested = []
-
-    def recording_pool(max_workers, mp_context):
-        requested.append((max_workers, mp_context.get_start_method()))
-        return ProcessPoolExecutor(max_workers=1, mp_context=mp_context)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", recording_pool)
+    requested, forks = recording_workers(monkeypatch)
     path, _ = write_corpus(tmp_path, n_entries=1)
     for jobs in (1, 100000):
         code = main(["run", "--manifest", str(path), "--out", str(tmp_path / f"out{jobs}"),
                      "--jobs", str(jobs)])
         assert code == 0
+        if jobs == 1:  # --jobs 1 runs in this process and forks nothing
+            assert requested == [] and forks == []
     cpus = pipeline._usable_cpus()
-    # --jobs 1 runs in this process and builds no pool
-    assert requested == ([(cpus, "fork")] if cpus > 1 else [])
+    assert requested == ([cpus] if cpus > 1 else [])
+    assert len(forks) == len(requested)
 
 
 def test_jobs_is_capped_at_the_cpus_this_process_may_use(tmp_path, monkeypatch):
     # a cpuset or taskset of one CPU leaves one worker, whatever the machine has
-    requested = []
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda **kw: requested.append(kw))
+    requested, forks = recording_workers(monkeypatch)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     path, _ = write_corpus(tmp_path, n_entries=1)
     assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"),
                  "--jobs", "2"]) == 0
-    assert requested == []
+    assert requested == [] and forks == []
 
 
-def test_a_serial_run_imports_no_pool(tmp_path):
+def test_jobs_above_1_without_fork_exits_2(tmp_path, capsys, monkeypatch):
+    # where os has no fork, --jobs 1 still runs
+    monkeypatch.delattr(os, "fork")
+    path, _ = write_corpus(tmp_path, n_entries=1)
+    for flags in (["--dry-run"], ["--out", str(tmp_path / "out")]):
+        assert main(["run", "--manifest", str(path), "--jobs", "2", *flags]) == 2
+        assert capsys.readouterr().err == (
+            "run error: jobs must be 1 where the platform has no os.fork, got 2\n")
+    assert not (tmp_path / "out").exists()
+    assert main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "1"]) == 0
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_run_imports_no_pool(tmp_path, jobs):
     # multiprocessing and the process pool cost a --jobs 1 run about 1.9 MiB
-    # of peak RSS; run_corpus imports them only for a pool
+    # of peak RSS, and a --jobs 2 run 1.3 MiB in the process that forks the
+    # workers; --jobs 1 does not import the worker module either
     path, _ = write_corpus(tmp_path, n_entries=1)
     script = (
         "import sys\n"
         "from mfaudio.cli import main\n"
         f"code = main(['run', '--manifest', {str(path)!r}, '--out', {str(tmp_path / 'out')!r},"
-        " '--jobs', '1'])\n"
+        f" '--jobs', '{jobs}'])\n"
         "print(code, *(name in sys.modules\n"
-        "              for name in ('multiprocessing', 'concurrent.futures.process')))\n"
+        "              for name in ('multiprocessing', 'concurrent.futures', 'mfaudio._workers')))\n"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
@@ -560,7 +583,8 @@ def test_a_serial_run_imports_no_pool(tmp_path):
         [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": env_path},
         capture_output=True, check=True, text=True,
     ).stdout.splitlines()[-1].split()
-    assert out == ["0", "False", "False"]
+    forked = jobs > 1 and pipeline._usable_cpus() > 1
+    assert out == ["0", "False", "False", str(forked)]
     assert (tmp_path / "out" / "windows.csv").exists()
 
 
@@ -677,17 +701,18 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
 @needs_two_cpus
 def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows of 132,300
-    # samples, each longer than _CHUNK_SAMPLES and so sent alone; a task
-    # pickles to its window's frame span and label, the WAV layout and the
-    # config
-    sizes = []
+    # samples, each longer than _CHUNK_SAMPLES and so a batch of its own; a
+    # task holds its window's frame span and label, the WAV layout and the
+    # config.  The workers inherit the tasks through the fork, so what this
+    # process writes per batch is the batch's index.
+    sizes, main_pid, real_write = [], os.getpid(), os.write
 
-    class MeasuringPool(ProcessPoolExecutor):
-        def submit(self, fn, /, *args, **kwargs):
-            sizes.append(len(pickle.dumps((fn, args, kwargs))))
-            return super().submit(fn, *args, **kwargs)
+    def measuring_write(fd, data):
+        if os.getpid() == main_pid:
+            sizes.append(len(data))
+        return real_write(fd, data)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", MeasuringPool)
+    monkeypatch.setattr(os, "write", measuring_write)
     path, _ = write_corpus(tmp_path, n_entries=1, rate=22050.0, seconds=60.0)
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
@@ -724,19 +749,25 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 
 @needs_two_cpus
 def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, capsys, monkeypatch):
-    # one window per pool task: the error in the first rendition's first
-    # window cancels that rendition's unstarted windows and no others
+    # one window per batch: the error in the first rendition's first
+    # window cancels that rendition's unstarted windows and no others.  The
+    # other windows are slowed, so only window 2, handed out with window 1,
+    # is running when the error arrives.
     path, _ = write_corpus(tmp_path, n_entries=2)
     clean = tmp_path / "clean"
     assert main(["run", "--manifest", str(path), "--out", str(clean), "--jobs", "1"]) == 0
     capsys.readouterr()
     record = validate_manifest(path).records[0]
-    target = partition_windows(decode_wav(record.audio_path), record.plan)[0][0]
+    windows = [w for part in partition_windows(decode_wav(record.audio_path), record.plan) for w in part]
+    target, started = windows[0], tmp_path / "started.txt"
     real_mfdfa = pipeline._mfdfa_in_place
 
     def failing_mfdfa(window, config):
         if np.array_equal(window, target.samples):
             raise NonFiniteDataError("injected")
+        with open(started, "a", encoding="utf-8") as handle:
+            handle.write(f"{float(window[0])!r}\n")
+        time.sleep(0.1)
         return real_mfdfa(window, config)
 
     monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
@@ -752,6 +783,9 @@ def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, ca
     spectra = sorted(p.name for p in out.glob("spectrum_*.csv"))
     assert spectra == ["spectrum_song-x-artist-1-1951.csv"]
     assert (out / spectra[0]).read_bytes() == (clean / spectra[0]).read_bytes()
+    firsts = [float(line) for line in started.read_text(encoding="utf-8").splitlines()]
+    assert len(firsts) == 5
+    assert [x for x in firsts if x in {w.samples[0] for w in windows}] == [windows[1].samples[0]]
 
 
 @needs_two_cpus
@@ -917,8 +951,39 @@ def test_dead_worker_exits_3_with_one_line(tmp_path, capfd, monkeypatch):
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
     assert code == 3
     err = capfd.readouterr().err
-    assert err.startswith("run internal error: BrokenProcessPool: ")
-    assert err.count("\n") == 1 and err.endswith("\n")
+    assert re.fullmatch(r"run internal error: RuntimeError: worker process \d+ died \(exit status 1\)\n", err)
+
+
+@needs_two_cpus
+@pytest.mark.parametrize("fault", ["none", "window", "internal", "death"])
+def test_no_worker_outlives_run_corpus(tmp_path, monkeypatch, fault):
+    # one window per batch, so batches are still running or queued when a
+    # fault ends the run; every worker is reaped and no thread started
+    real_mfdfa = pipeline._mfdfa_in_place
+
+    def faulty_mfdfa(window, config):
+        if fault == "window":
+            raise NonFiniteDataError("injected")
+        if fault == "internal":
+            raise RuntimeError("boom")
+        if fault == "death":
+            os._exit(1)
+        return real_mfdfa(window, config)
+
+    threads, real_start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self) or real_start(self))
+    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
+    monkeypatch.setattr(pipeline, "_mfdfa_in_place", faulty_mfdfa)
+    manifest = validate_manifest(write_corpus(tmp_path, n_entries=3)[0])
+    if fault in ("internal", "death"):
+        with pytest.raises(RuntimeError, match="boom" if fault == "internal" else "died"):
+            pipeline.run_corpus(manifest, jobs=2)
+    else:
+        outcomes, failures = pipeline.run_corpus(manifest, jobs=2)
+        assert len(failures) == (3 if fault == "window" else 0)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert threads == []
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
