@@ -1,15 +1,15 @@
-"""Forked worker processes that run batches of work on demand.
+"""Forked worker processes that run items of work on demand.
 
-``Workers(run, lists, batch_size, count)`` cuts each list of items into
-batches, numbers them in order and forks ``count`` processes, each with
-a pipe for batch indices and a pipe back for results.  The workers
-inherit ``run`` and the batches through the fork, so a batch travels to
-one as its index alone (4 bytes), and its results travel back as one
-pickle.  The process that made the workers hands an idle one the next
-batch whenever it waits for a result, and keeps a result that arrives
-before the batches ahead of it as bytes until it is asked for.  No thread
-is started.  A worker exits when its index pipe closes; ``close``
-closes them all, kills a worker still busy and reaps every one.
+``Workers(run, lists, count)`` numbers the items of every list in order
+and forks ``count`` processes, each with a pipe for item indices and a
+pipe back for replies.  The workers inherit ``run`` and the items through
+the fork, so an item travels to one as its index alone (4 bytes), and
+its reply travels back as one pickle, ``(failed, value)``.  A worker has
+one item at a time, so a buffered ``pickle.load`` of its reply leaves no
+byte behind where ``poll`` would not see it.  Whenever the process that
+made the workers waits for a reply it hands idle ones the next items,
+and it keeps a reply that arrives early until it is asked for.  No
+thread is started.  ``close`` kills and reaps every worker.
 """
 
 from __future__ import annotations
@@ -20,84 +20,83 @@ import select
 import signal
 
 _INDEX_BYTES = 4
-_HEADER_BYTES = 9  # a failed flag and the pickle's length
 
 
 class Workers:
     """``count`` forked processes that call ``run`` on each item of
-    ``lists``, in batches of ``batch_size(items)`` items of a list, handed
-    out in order as the workers fall idle."""
+    ``lists``, handed out one at a time, in order, as the workers fall
+    idle."""
 
-    def __init__(self, run, lists, batch_size, count: int):
-        batches, self._spans = [], []  # a list's batches are batches[span]
-        for items in lists:
-            first, size = len(batches), batch_size(items) if items else 1
-            batches += (items[k:k + size] for k in range(0, len(items), size))
-            self._spans.append(range(first, len(batches)))
-        self._n_batches = len(batches)
-        self._next = 0  # the next batch to hand out
-        self._skipped: set[int] = set()
-        self._held: dict[int, tuple[bool, bytes]] = {}  # results received before they were asked for
-        self._workers: dict = {}  # result pipe (read end, a file) -> (pid, index pipe)
-        self._busy: dict = {}  # result pipe -> its worker's batch
+    def __init__(self, run, lists, count: int):
+        items, self._spans = [], []  # list n's items are items[self._spans[n]]
+        for some in lists:
+            self._spans.append(range(len(items), len(items) + len(some)))
+            items += some
+        self._n_items = len(items)
+        self._next = 0  # the next item to hand out
+        self._wanted = 0  # the first item whose reply may still be asked for
+        self._held: dict[int, tuple] = {}  # replies received before they were asked for
+        self._workers: dict = {}  # result pipe -> (pid, index pipe, result pipe as a file)
+        self._busy: dict = {}  # result pipe -> its worker's item
+        self._poll = select.poll()  # select() refuses a descriptor above 1023
         try:
             for _ in range(count):
-                self._fork(run, batches)
+                self._fork(run, items)
         except BaseException:
             self.close()
             raise
 
-    def _fork(self, run, batches) -> None:
-        task_r, task_w = os.pipe()
-        result_r, result_w = os.pipe()
-        pid = os.fork()
+    def _fork(self, run, items) -> None:
+        fds = []
+        try:
+            fds += os.pipe()
+            fds += os.pipe()
+            pid = os.fork()
+        except BaseException:
+            for fd in fds:
+                os.close(fd)
+            raise
+        task_r, task_w, result_r, result_w = fds
         if pid == 0:
             code = 1
             try:
                 # this worker keeps only its own two ends
                 os.close(task_w)
                 os.close(result_r)
-                for results, (_, tasks) in self._workers.items():
-                    results.close()
+                for _, tasks, results in self._workers.values():
                     os.close(tasks)
-                _serve(run, batches, open(task_r, "rb"), open(result_w, "wb"))
+                    results.close()
+                _serve(run, items, open(task_r, "rb"), open(result_w, "wb"))
                 code = 0
             finally:
                 os._exit(code)
         os.close(task_r)
         os.close(result_w)
-        self._workers[open(result_r, "rb")] = (pid, task_w)
+        self._workers[result_r] = (pid, task_w, open(result_r, "rb"))
+        self._poll.register(result_r, select.POLLIN)
 
     def results(self, n: int):
         """What ``run`` returned for each item of list ``n``, in order; an
-        item that raised raises here.  Batches of the list not yet handed
-        out when this generator ends early are never handed out."""
-        indices = self._spans[n]
-        try:
-            for i in indices:
-                yield from self._result(i)
-        finally:
-            self._skipped.update(indices)
-            for i in indices:
-                self._held.pop(i, None)
-
-    def _result(self, index: int):
-        while index not in self._held:
-            self._hand_out()
-            ready, _, _ = select.select(list(self._busy), [], [])
-            for results in ready:
-                self._receive(results)
-        failed, body = self._held.pop(index)
-        if failed:
-            raise pickle.loads(body)
-        self._hand_out()  # before unpickling, so an idle worker need not wait for it
-        return pickle.loads(body)
+        item that raised raises here, and the items of the list not yet
+        handed out are never handed out.  Lists are asked for in order."""
+        span = self._spans[n]
+        for i in span:
+            while i not in self._held:
+                self._hand_out()
+                for results, _ in self._poll.poll():
+                    self._receive(results)
+            failed, value = self._held.pop(i)
+            if failed:
+                self._wanted = span.stop
+                self._held = {k: reply for k, reply in self._held.items() if k >= span.stop}
+                raise value
+            self._hand_out()  # before the caller takes its time over value
+            yield value
 
     def _hand_out(self) -> None:
+        self._next = max(self._next, self._wanted)
         for results in self._workers.keys() - self._busy.keys():
-            while self._next < self._n_batches and self._next in self._skipped:
-                self._next += 1
-            if self._next == self._n_batches:
+            if self._next == self._n_items:
                 return
             try:
                 os.write(self._workers[results][1], self._next.to_bytes(_INDEX_BYTES, "little"))
@@ -107,49 +106,44 @@ class Workers:
             self._next += 1
 
     def _receive(self, results) -> None:
-        header = results.read(_HEADER_BYTES)
-        size = int.from_bytes(header[1:], "little")
-        body = results.read(size)
-        if len(header) < _HEADER_BYTES or len(body) < size:  # its worker is gone
+        try:
+            reply = pickle.load(self._workers[results][2])
+        except (EOFError, pickle.UnpicklingError):  # its worker is gone
             self._died(results)
-        index = self._busy.pop(results)
-        if index not in self._skipped:
-            self._held[index] = (bool(header[0]), body)
+        i = self._busy.pop(results)
+        if i >= self._wanted:
+            self._held[i] = reply
 
     def _died(self, results):
-        pid, tasks = self._workers.pop(results)
-        results.close()
-        os.close(tasks)
-        self._busy.pop(results, None)
-        _, status = os.waitpid(pid, 0)
-        code = os.waitstatus_to_exitcode(status)
+        pid = self._workers[results][0]
+        code = os.waitstatus_to_exitcode(self._reap(results))
         how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
         raise RuntimeError(f"worker process {pid} died ({how})")
 
+    def _reap(self, results) -> int:
+        """Close a worker's pipes and wait for it to end; its wait status."""
+        pid, tasks, file = self._workers.pop(results)
+        os.close(tasks)
+        file.close()
+        return os.waitpid(pid, 0)[1]
+
     def close(self) -> None:
-        """End every worker: close its index pipe, kill it if it is busy,
-        and reap it."""
-        for _, tasks in self._workers.values():
-            os.close(tasks)
-        for results in self._busy:
-            os.kill(self._workers[results][0], signal.SIGKILL)
-        for results, (pid, _) in self._workers.items():
-            results.close()
-            os.waitpid(pid, 0)
-        self._workers.clear()
-        self._busy.clear()
+        """Kill and reap every worker."""
+        for pid, _, _ in self._workers.values():
+            os.kill(pid, signal.SIGKILL)
+        while self._workers:
+            self._reap(next(iter(self._workers)))
 
 
-def _serve(run, batches, tasks, results) -> None:
-    """A worker's loop: run each batch whose index arrives on ``tasks`` and
-    write its pickled result, or the exception it raised, to ``results``;
-    return when ``tasks`` closes."""
+def _serve(run, items, tasks, results) -> None:
+    """A worker's loop: run each item whose index arrives on ``tasks`` and
+    write ``(failed, value)``, what ``run`` returned or the exception it
+    raised, to ``results`` as one pickle; return when ``tasks`` closes."""
     while index := tasks.read(_INDEX_BYTES):
         try:
-            batch = batches[int.from_bytes(index, "little")]
-            failed, body = False, pickle.dumps([run(item) for item in batch], pickle.HIGHEST_PROTOCOL)
+            value = run(items[int.from_bytes(index, "little")])
+            reply = pickle.dumps((False, value), pickle.HIGHEST_PROTOCOL)
         except Exception as err:
-            failed, body = True, pickle.dumps(err, pickle.HIGHEST_PROTOCOL)
-        results.write(bytes([failed]) + len(body).to_bytes(_HEADER_BYTES - 1, "little"))
-        results.write(body)
+            reply = pickle.dumps((True, err), pickle.HIGHEST_PROTOCOL)
+        results.write(reply)
         results.flush()

@@ -13,7 +13,7 @@ separator, fixed column order):
 - ``plot_all_songs.csv``  the same across every song
 
 ``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it hands the
-windows of every rendition, in batches, to N processes forked by
+windows of every rendition, one at a time, to N processes forked by
 ``os.fork`` (an argument error where there is none), capped at
 ``pipeline._usable_cpus()``, the CPUs this process may run on; at 1 it
 forks nothing.  The outputs are identical for any N.  Before the run it

@@ -4,9 +4,9 @@ MFDFA, per-part width averaging) and per-generation aggregation.
 ``run_corpus`` splits each recording by its :class:`WindowPlan` into
 parts, each part into windows, as sample spans computed from the WAV
 header alone.  Each window is one task of ``_analyze_window``, a pure
-function of the window and its config, run by builtin ``map`` or, in
-batches, by forked worker processes (``_workers``, imported only for
-them), which inherit the tasks.  The process that runs a task decodes
+function of the window and its config, run by builtin ``map`` or, one
+window at a time, by forked worker processes (``_workers``, imported only
+for them), which inherit the tasks.  The process that runs a task decodes
 the window's frames from the file into the array that becomes the
 window's profile, the one array of the window's length it holds, and a
 window's error is raised there with the window named.  The results are
@@ -55,15 +55,6 @@ _WINDOW_FLAG_ERRORS = (
     InsufficientSpectrumError,
 )
 
-# Workers get a rendition's windows in batches of at most this many samples,
-# one window per batch where a window is longer (32 one-second windows per
-# batch at 8 kHz, six batches for a 180 s clip): one-second windows sent one
-# per batch ran 10-20% slower, and batches sized by samples, not by part,
-# still split a one-part clip across the workers.  On two cores 2**16 to
-# 2**18 timed alike; 2**19 loaded the workers unevenly.
-_CHUNK_SAMPLES = 2**18
-
-
 def _slug(text: str) -> str:
     out = "".join(c.lower() if c.isalnum() else "-" for c in text)
     while "--" in out:
@@ -73,7 +64,7 @@ def _slug(text: str) -> str:
 
 @dataclass(frozen=True)
 class RenditionRecord:
-    """One recording of one song by one artist; the unit of batch work."""
+    """One recording of one song by one artist."""
 
     song_id: str
     artist: str
@@ -181,12 +172,12 @@ def run_corpus(manifest, jobs: int = 1):
     Every record is planned first (header, spans, one task per window),
     then the records are reduced in manifest order.  With
     ``min(jobs, _usable_cpus())`` above 1, that many forked workers are
-    handed the records' batches of windows on demand, in order; else
+    handed the records' windows one at a time, on demand, in order; else
     builtin ``map`` runs each window in this process when its record is
     reduced, and ``_workers`` is never imported.  Either way the process
     that analyses a window builds a detrending basis the first time it
     needs one.  Outcomes do not depend on ``jobs``.  A window error stops
-    its record's batches; an unexpected exception or a dead worker ends
+    the rest of its record; an unexpected exception or a dead worker ends
     the run.  Every worker is reaped before this returns or raises.
     """
     _check_jobs(jobs)
@@ -196,11 +187,10 @@ def run_corpus(manifest, jobs: int = 1):
     if workers > 1:
         # threads serialise on the interpreter lock over a window's small
         # numpy calls.  Forked workers inherit the imported modules, the
-        # pinned malloc thresholds and the batches, which spawned ones
+        # pinned malloc thresholds and the tasks, which spawned ones
         # would not; each builds the detrending bases it needs on first use.
         from ._workers import Workers
-        pool = Workers(_analyze_window, [[] if isinstance(tasks, MfaudioError) else tasks for tasks in plans],
-                       lambda tasks: max(1, _CHUNK_SAMPLES // (tasks[0][1][1] - tasks[0][1][0])), workers)
+        pool = Workers(_analyze_window, [[] if isinstance(tasks, MfaudioError) else tasks for tasks in plans], workers)
     try:
         streams = [tasks if isinstance(tasks, MfaudioError)
                    else map(_analyze_window, tasks) if pool is None
@@ -266,7 +256,7 @@ def _plan_rendition(record: RenditionRecord, signal: Signal | None = None) -> li
         raise err.add_context(f"rendition {record.rendition_id}")
 
     source = layout if signal is None else signal.samples
-    rendition_id = record.rendition_id  # one string object, pickled once per batch
+    rendition_id = record.rendition_id
     return [(source, span, record.config, (rendition_id, p_idx, w_idx))
             for p_idx, part in enumerate(spans, start=1)
             for w_idx, span in enumerate(part, start=1)]

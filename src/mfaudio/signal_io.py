@@ -133,7 +133,7 @@ class WindowPlan:
 
 class _WavLayout(NamedTuple):
     """Where a WAV's samples lie and how they are stored: all that a reader
-    of any frame range needs, small enough to send to a worker process."""
+    of any frame range needs."""
 
     path: str | Path
     data_at: int  # file offset of the first frame

@@ -7,6 +7,7 @@ import multiprocessing
 import os
 import pickle
 import re
+import resource
 import struct
 import subprocess
 import sys
@@ -518,9 +519,9 @@ def recording_workers(monkeypatch):
     requested, forks = [], []
     real_workers, real_fork = _workers.Workers, os.fork
 
-    def workers(run, lists, batch_size, count):
+    def workers(run, lists, count):
         requested.append(count)
-        return real_workers(run, lists, batch_size, 1)
+        return real_workers(run, lists, 1)
 
     monkeypatch.setattr(_workers, "Workers", workers)
     monkeypatch.setattr(os, "fork", lambda: forks.append(True) or real_fork())
@@ -673,9 +674,7 @@ needs_two_cpus = pytest.mark.skipif(pipeline._usable_cpus() < 2, reason="needs t
 def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
     # the first window of each worker process waits for the other's: a pool
     # that runs one rendition's windows in turn breaks the barrier after its
-    # timeout.  72 s at 4 kHz in one part is 12 windows of 24,000 samples,
-    # more than one chunk.
-    assert 72 * 4000 > pipeline._CHUNK_SAMPLES
+    # timeout.  72 s at 4 kHz in one part is 12 windows of 24,000 samples.
     barrier = multiprocessing.get_context("fork").Barrier(2, timeout=10)
     waited = []  # each forked worker has its own copy
     real_mfdfa = pipeline._mfdfa_in_place
@@ -701,10 +700,9 @@ def test_windows_of_one_rendition_run_at_once(tmp_path, monkeypatch):
 @needs_two_cpus
 def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows of 132,300
-    # samples, each longer than _CHUNK_SAMPLES and so a batch of its own; a
-    # task holds its window's frame span and label, the WAV layout and the
-    # config.  The workers inherit the tasks through the fork, so what this
-    # process writes per batch is the batch's index.
+    # samples; a task holds its window's frame span and label, the WAV
+    # layout and the config.  The workers inherit the tasks through the
+    # fork, so what this process writes per window is the window's index.
     sizes, main_pid, real_write = [], os.getpid(), os.write
 
     def measuring_write(fd, data):
@@ -727,7 +725,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
 
 @needs_two_cpus
 def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypatch):
-    # 3 parts of 4 windows; the second chunk starts at window 3 of part 2
+    # 3 parts of 4 windows; the failing one is window 4 of part 2
     path, _ = write_corpus(tmp_path, n_entries=1, seconds=72.0)
     record = validate_manifest(path, {"part_count": 3, "part_length": None}).records[0]
     target = partition_windows(decode_wav(record.audio_path), record.plan)[1][3]
@@ -749,10 +747,10 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 
 @needs_two_cpus
 def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, capsys, monkeypatch):
-    # one window per batch: the error in the first rendition's first
-    # window cancels that rendition's unstarted windows and no others.  The
-    # other windows are slowed, so only window 2, handed out with window 1,
-    # is running when the error arrives.
+    # the error in the first rendition's first window cancels that
+    # rendition's unstarted windows and no others.  The other windows are
+    # slowed, so only window 2, handed out with window 1, is running when
+    # the error arrives.
     path, _ = write_corpus(tmp_path, n_entries=2)
     clean = tmp_path / "clean"
     assert main(["run", "--manifest", str(path), "--out", str(clean), "--jobs", "1"]) == 0
@@ -770,7 +768,6 @@ def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, ca
         time.sleep(0.1)
         return real_mfdfa(window, config)
 
-    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
     monkeypatch.setattr(pipeline, "_mfdfa_in_place", failing_mfdfa)
     out = tmp_path / "out"
     assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", "2"]) == 1
@@ -828,6 +825,28 @@ def test_serial_run_builds_no_more_bases_than_window_order_needs(tmp_path):
     outcomes, failures = pipeline.run_corpus(manifest, jobs=1)
     assert failures == []
     assert analysis._detrend_basis.cache_info().misses == in_window_order
+
+
+def test_workers_serve_a_process_holding_over_1023_descriptors(tmp_path, monkeypatch):
+    # select() refuses a descriptor above 1023, which the workers' pipes
+    # reach in a process that holds this many, or forks about 510 workers
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1200:
+        pytest.skip("needs 1,200 open descriptors")
+    monkeypatch.setattr(pipeline, "_usable_cpus", lambda: 2)
+    manifest = validate_manifest(write_corpus(tmp_path, n_entries=2)[0])
+    held = [os.open(os.devnull, os.O_RDONLY) for _ in range(1100)]
+    try:
+        for jobs in (1, 2):
+            outcomes, failures = pipeline.run_corpus(manifest, jobs=jobs)
+            assert failures == []
+            cli.write_outputs(outcomes, tmp_path / f"jobs{jobs}")
+    finally:
+        for fd in held:
+            os.close(fd)
+    files = sorted(p.name for p in (tmp_path / "jobs1").iterdir())
+    assert sorted(p.name for p in (tmp_path / "jobs2").iterdir()) == files
+    for name in files:
+        assert (tmp_path / "jobs2" / name).read_bytes() == (tmp_path / "jobs1" / name).read_bytes()
 
 
 @needs_two_cpus
@@ -920,10 +939,8 @@ def test_a_wav_damaged_after_planning_fails_its_rendition_only(
 
 @needs_two_cpus
 def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch):
-    # 5 entries of 4 windows at one window per chunk queue 20 chunks at once.
-    # After the first error only the chunks already running or in the
-    # pool's call queue (2 + 3, and a race) may start; the rest are
-    # cancelled, not waited for.
+    # 5 entries of 4 windows are 20 windows.  After the first error no
+    # further window is handed out; the rest are not waited for.
     started = tmp_path / "started.txt"
 
     def slow_broken_mfdfa(window, config):
@@ -932,7 +949,6 @@ def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch)
         time.sleep(0.2)
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
     monkeypatch.setattr(pipeline, "_mfdfa_in_place", slow_broken_mfdfa)
     path, _ = write_corpus(tmp_path, n_entries=5)
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", "2"])
@@ -957,8 +973,8 @@ def test_dead_worker_exits_3_with_one_line(tmp_path, capfd, monkeypatch):
 @needs_two_cpus
 @pytest.mark.parametrize("fault", ["none", "window", "internal", "death"])
 def test_no_worker_outlives_run_corpus(tmp_path, monkeypatch, fault):
-    # one window per batch, so batches are still running or queued when a
-    # fault ends the run; every worker is reaped and no thread started
+    # windows are still running or unstarted when a fault ends the run;
+    # every worker is reaped and no thread started
     real_mfdfa = pipeline._mfdfa_in_place
 
     def faulty_mfdfa(window, config):
@@ -972,7 +988,6 @@ def test_no_worker_outlives_run_corpus(tmp_path, monkeypatch, fault):
 
     threads, real_start = [], threading.Thread.start
     monkeypatch.setattr(threading.Thread, "start", lambda self: threads.append(self) or real_start(self))
-    monkeypatch.setattr(pipeline, "_CHUNK_SAMPLES", 1)
     monkeypatch.setattr(pipeline, "_mfdfa_in_place", faulty_mfdfa)
     manifest = validate_manifest(write_corpus(tmp_path, n_entries=3)[0])
     if fault in ("internal", "death"):
