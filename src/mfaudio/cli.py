@@ -12,13 +12,13 @@ separator, fixed column order):
 - ``plot_<song>.csv``   long-format plot data per song
 - ``plot_all_songs.csv``  the same across every song
 
-``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it hands the
-windows of every rendition, one at a time, to N processes forked by
-``os.fork`` (an argument error where there is none), capped at
-``pipeline._usable_cpus()``, the CPUs this process may run on; at 1 it
-forks nothing.  The outputs are identical for any N.  Before the run it
-pins glibc's malloc thresholds (``_pin_malloc_thresholds``), and the
-forked workers inherit them.
+``mfaudio run --jobs N`` passes N to ``run_corpus``: above 1 it runs the
+windows of every rendition in N processes forked by ``os.fork`` (an
+argument error where there is none), worker w on windows w, w + N, ...,
+capped at ``pipeline._usable_cpus()``, the CPUs this process may run on;
+at 1 it forks nothing.  The outputs are identical for any N.  Before the
+run it pins glibc's malloc thresholds (``_pin_malloc_thresholds``), and
+the forked workers inherit them.
 
 ``mfaudio synth`` builds a self-contained synthetic corpus (WAV files
 plus a manifest) so the whole pipeline runs with zero external data.
@@ -27,7 +27,9 @@ Exit status: 0 on full success, 1 if any rendition errored, 2 for an
 invalid manifest (a ``manifest error`` line per violation) or invalid
 arguments or output path (one ``<command> error`` line, from ``main``), 3
 for an internal error (an exception the program does not expect, here
-or in a worker, or a worker that died, reported as one line).  Errors go to stderr.
+or in a worker, or a worker that died, reported as one line), 130 for
+an interrupt (Ctrl-C: one ``<command> interrupted`` line, after every
+worker is reaped; the workers ignore SIGINT).  Errors go to stderr.
 """
 
 from __future__ import annotations
@@ -304,6 +306,9 @@ def main(argv=None) -> int:
     except Exception as err:  # a defect, kept apart from a failed rendition (1)
         print(f"{args.command} internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # run_corpus has reaped the workers on the way out
+        print(f"{args.command} interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

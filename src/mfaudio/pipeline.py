@@ -4,8 +4,8 @@ MFDFA, per-part width averaging) and per-generation aggregation.
 ``run_corpus`` splits each recording by its :class:`WindowPlan` into
 parts, each part into windows, as sample spans computed from the WAV
 header alone.  Each window is one task of ``_analyze_window``, a pure
-function of the window and its config, run by builtin ``map`` or, one
-window at a time, by forked worker processes (``_workers``, imported only
+function of the window and its config, run by builtin ``map`` or, in a
+fixed stride, by forked worker processes (``_workers``, imported only
 for them), which inherit the tasks.  The process that runs a task decodes
 the window's frames from the file into the array that becomes the
 window's profile, the one array of the window's length it holds, and a
@@ -171,14 +171,16 @@ def run_corpus(manifest, jobs: int = 1):
     the MfaudioError that aborted entry i, and failures lists the errors.
     Every record is planned first (header, spans, one task per window),
     then the records are reduced in manifest order.  With
-    ``min(jobs, _usable_cpus())`` above 1, that many forked workers are
-    handed the records' windows one at a time, on demand, in order; else
-    builtin ``map`` runs each window in this process when its record is
-    reduced, and ``_workers`` is never imported.  Either way the process
-    that analyses a window builds a detrending basis the first time it
-    needs one.  Outcomes do not depend on ``jobs``.  A window error stops
-    the rest of its record; an unexpected exception or a dead worker ends
-    the run.  Every worker is reaped before this returns or raises.
+    ``min(jobs, _usable_cpus())`` above 1, that many forked workers run
+    the corpus's windows in a fixed stride, worker w of k windows w,
+    w + k, ..., each ahead of the reduction by at most a pipe buffer of
+    replies; else builtin ``map`` runs each window in this process when
+    its record is reduced, and ``_workers`` is never imported.  Either
+    way the process that analyses a window builds a detrending basis the
+    first time it needs one.  Outcomes do not depend on ``jobs``.  A
+    window error cancels the windows of its record not yet started; an
+    unexpected exception, a dead worker or an interrupt ends the run.
+    Every worker is reaped before this returns or raises.
     """
     _check_jobs(jobs)
     workers = min(jobs, _usable_cpus())

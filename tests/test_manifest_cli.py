@@ -8,6 +8,7 @@ import os
 import pickle
 import re
 import resource
+import signal
 import struct
 import subprocess
 import sys
@@ -578,15 +579,18 @@ def test_a_run_imports_no_pool(tmp_path, jobs):
         "print(code, *(name in sys.modules\n"
         "              for name in ('multiprocessing', 'concurrent.futures', 'mfaudio._workers')))\n"
     )
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env_path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     out = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": env_path},
-        capture_output=True, check=True, text=True,
+        [sys.executable, "-c", script], env=source_env(), capture_output=True, check=True, text=True,
     ).stdout.splitlines()[-1].split()
     forked = jobs > 1 and pipeline._usable_cpus() > 1
     assert out == ["0", "False", "False", str(forked)]
     assert (tmp_path / "out" / "windows.csv").exists()
+
+
+def source_env():
+    """This environment, with the mfaudio under test first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
 
 
 def test_a_star_import_binds_no_module():
@@ -702,7 +706,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     # 60 s at 22.05 kHz is 10.6 MB of float64 in 10 windows of 132,300
     # samples; a task holds its window's frame span and label, the WAV
     # layout and the config.  The workers inherit the tasks through the
-    # fork, so what this process writes per window is the window's index.
+    # fork, so this process writes nothing to a worker.
     sizes, main_pid, real_write = [], os.getpid(), os.write
 
     def measuring_write(fd, data):
@@ -715,8 +719,7 @@ def test_pool_tasks_carry_spans_not_samples(tmp_path, monkeypatch):
     outs = [tmp_path / f"out{jobs}" for jobs in (1, 2)]
     for jobs, out in zip((1, 2), outs):
         assert main(["run", "--manifest", str(path), "--out", str(out), "--jobs", str(jobs)]) == 0
-    assert len(sizes) == 10
-    assert max(sizes) < 64 * 1024, sizes
+    assert sizes == []
     names = sorted(p.name for p in outs[0].iterdir())
     assert names == sorted(p.name for p in outs[1].iterdir())
     for name in names:
@@ -747,25 +750,30 @@ def test_window_error_from_a_worker_names_its_window(tmp_path, capsys, monkeypat
 
 @needs_two_cpus
 def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, capsys, monkeypatch):
-    # the error in the first rendition's first window cancels that
-    # rendition's unstarted windows and no others.  The other windows are
-    # slowed, so only window 2, handed out with window 1, is running when
-    # the error arrives.
+    # the error in the first rendition's window 1 cancels that rendition's
+    # windows that have not started, and no others.  Window 2 may start
+    # beside window 1, in the other worker; then it runs on until well
+    # after the failure is recorded, so windows 3 and 4 start after it.
     path, _ = write_corpus(tmp_path, n_entries=2)
     clean = tmp_path / "clean"
     assert main(["run", "--manifest", str(path), "--out", str(clean), "--jobs", "1"]) == 0
     capsys.readouterr()
     record = validate_manifest(path).records[0]
     windows = [w for part in partition_windows(decode_wav(record.audio_path), record.plan) for w in part]
-    target, started = windows[0], tmp_path / "started.txt"
+    started, failed = tmp_path / "started.txt", tmp_path / "failed"
     real_mfdfa = pipeline._mfdfa_in_place
 
     def failing_mfdfa(window, config):
-        if np.array_equal(window, target.samples):
+        if np.array_equal(window, windows[0].samples):
+            failed.touch()
             raise NonFiniteDataError("injected")
         with open(started, "a", encoding="utf-8") as handle:
             handle.write(f"{float(window[0])!r}\n")
-        time.sleep(0.1)
+        if np.array_equal(window, windows[1].samples):
+            deadline = time.monotonic() + 10
+            while not failed.exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            time.sleep(0.2)
         return real_mfdfa(window, config)
 
     monkeypatch.setattr(pipeline, "_mfdfa_in_place", failing_mfdfa)
@@ -781,8 +789,9 @@ def test_window_error_in_a_worker_leaves_the_other_renditions_whole(tmp_path, ca
     assert spectra == ["spectrum_song-x-artist-1-1951.csv"]
     assert (out / spectra[0]).read_bytes() == (clean / spectra[0]).read_bytes()
     firsts = [float(line) for line in started.read_text(encoding="utf-8").splitlines()]
-    assert len(firsts) == 5
-    assert [x for x in firsts if x in {w.samples[0] for w in windows}] == [windows[1].samples[0]]
+    failed_rendition = {w.samples[0] for w in windows}
+    assert {x for x in firsts if x in failed_rendition} <= {windows[1].samples[0]}
+    assert len([x for x in firsts if x not in failed_rendition]) == 4
 
 
 @needs_two_cpus
@@ -938,9 +947,10 @@ def test_a_wav_damaged_after_planning_fails_its_rendition_only(
 
 
 @needs_two_cpus
-def test_internal_error_cancels_the_queued_chunks(tmp_path, capsys, monkeypatch):
-    # 5 entries of 4 windows are 20 windows.  After the first error no
-    # further window is handed out; the rest are not waited for.
+def test_internal_error_ends_the_run_before_the_later_windows_start(tmp_path, capsys, monkeypatch):
+    # 5 entries of 4 windows are 20 windows, each of which fails.  The
+    # first error ends the run and the workers are killed; the windows
+    # still running are not waited for.
     started = tmp_path / "started.txt"
 
     def slow_broken_mfdfa(window, config):
@@ -1011,6 +1021,39 @@ def test_unexpected_exception_exits_3_with_one_line(tmp_path, capsys, monkeypatc
     code = main(["run", "--manifest", str(path), "--out", str(tmp_path / "out"), "--jobs", jobs])
     assert code == 3
     assert capsys.readouterr().err == "run internal error: RuntimeError: boom\n"
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_ctrl_c_ends_a_run_with_one_line_and_status_130(tmp_path, jobs):
+    # a terminal's Ctrl-C sends SIGINT to the run's whole process group,
+    # its workers included, here once a window has started; every window
+    # takes a second, so the run is still analysing
+    path, _ = write_corpus(tmp_path, n_entries=2)
+    started = tmp_path / "started"
+    script = (
+        "import signal, sys, time\n"
+        "from mfaudio import pipeline\n"
+        "from mfaudio.cli import main\n"
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+        "real_mfdfa = pipeline._mfdfa_in_place\n"
+        "def slow_mfdfa(window, config):\n"
+        f"    open({str(started)!r}, 'a').close()\n"
+        "    time.sleep(1)\n"
+        "    return real_mfdfa(window, config)\n"
+        "pipeline._mfdfa_in_place = slow_mfdfa\n"
+        f"sys.exit(main(['run', '--manifest', {str(path)!r}, '--out', {str(tmp_path / 'out')!r},"
+        f" '--jobs', '{jobs}']))\n"
+    )
+    with subprocess.Popen([sys.executable, "-c", script], env=source_env(), start_new_session=True,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        deadline = time.monotonic() + 30
+        while not started.exists() and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        out, err = proc.communicate(timeout=30)
+    assert (proc.returncode, out, err) == (130, "", "run interrupted\n")
+    with pytest.raises(ProcessLookupError):  # every worker was reaped with it
+        os.killpg(proc.pid, 0)
 
 
 def test_plot_data_matches_cross_generation_table(tmp_path):
